@@ -23,6 +23,7 @@ from .operator_core import (
     DimensionGuardError,
     RegionMismatchError,
     StateError,
+    apply_on_sites,
     cmi,
     conditional_entropy,
     embed_operator,
@@ -37,11 +38,9 @@ from .operator_core import (
 from .merge import (
     EmptyOverlapError,
     MarkovCheck,
-    MergeExpression,
     MergePreconditionError,
     SupportMismatchError,
     is_markov_via_recovery,
-    merge_product,
     merging_lemma_combine,
     right_merge,
     right_merge_info,

@@ -22,6 +22,7 @@ from .marginal_store import (
     Window,
     check_local_consistency,
     check_markov_conditions,
+    matrix_to_json,
 )
 from .operator_core import DimensionGuardError, StateError
 from .oracles import depolarize_marginal, gen_product, gen_row_markov, ghz_row_source
@@ -244,10 +245,7 @@ def cmd_generate(args) -> int:
                 {
                     "region": [[x, y] for x, y in state.region],
                     "local_dim": state.local_dim,
-                    "matrix": [
-                        [[float(z.real), float(z.imag)] for z in row]
-                        for row in state.matrix.tolist()
-                    ],
+                    "matrix": matrix_to_json(state.matrix),
                 },
                 fh,
             )

@@ -57,10 +57,6 @@ def region_difference(a: Iterable, b: Iterable) -> Region:
     return as_region([v for v in a if as_vertex(v) not in sb])
 
 
-def translate(region: Iterable, dx: int, dy: int) -> Region:
-    return as_region([(v[0] + dx, v[1] + dy) for v in region])
-
-
 def cluster_region(anchor, n: int, m: int) -> Region:
     """The n-wide, m-tall cluster whose bottom-right member is ``anchor``."""
     ax, ay = as_vertex(anchor)

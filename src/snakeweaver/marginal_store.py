@@ -193,6 +193,22 @@ def _region_json(region: Region) -> list:
     return [[x, y] for x, y in region]
 
 
+def matrix_to_json(mat: np.ndarray) -> list:
+    """Rows of [re, im] pairs: how every snakeweaver JSON file stores a matrix."""
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
+
+
+def matrix_from_json(rows) -> np.ndarray:
+    """Inverse of ``matrix_to_json``; ValueError unless ``rows`` is a grid of finite [re, im] pairs."""
+    raw = np.asarray(rows, dtype=float)
+    if raw.ndim != 3 or raw.shape[2] != 2:
+        raise ValueError(f"expected rows of [re, im] pairs, got an array of shape {raw.shape}")
+    if not np.isfinite(raw).all():
+        raise ValueError("matrix has a non-finite entry")
+    return raw[..., 0] + 1j * raw[..., 1]
+
+
 class MarginalSet:
     """The fundamental marginals of a window: one density operator per inside 3x3 cluster."""
 
@@ -294,13 +310,7 @@ class MarginalSet:
             "local_dim": self.local_dim,
             "log_base": self.log_base,
             "marginals": [
-                {
-                    "anchor": [a[0], a[1]],
-                    "matrix": [
-                        [[float(z.real), float(z.imag)] for z in row]
-                        for row in self.marginals[a].matrix.tolist()
-                    ],
-                }
+                {"anchor": [a[0], a[1]], "matrix": matrix_to_json(self.marginals[a].matrix)}
                 for a in self.anchors()
             ],
         }
@@ -326,21 +336,22 @@ class MarginalSet:
             raise MarginalFileError(f"malformed marginal file: {exc}") from exc
         if local_dim < 2:
             raise MarginalFileError(f"local_dim must be >= 2, got {local_dim}")
+        if not isinstance(entries, list):
+            raise MarginalFileError(f"marginals must be a list, got {type(entries).__name__}")
         dim = local_dim ** 9
         margs = {}
         for entry in entries:
             try:
                 anchor = as_vertex(entry["anchor"])
-                raw = np.asarray(entry["matrix"], dtype=float)
+                mat = matrix_from_json(entry["matrix"])
             except (KeyError, TypeError, ValueError, GeometryError) as exc:
                 raise MarginalFileError(f"malformed marginal entry: {exc}") from exc
-            if raw.shape != (dim, dim, 2):
+            if mat.shape != (dim, dim):
                 raise MarginalFileError(
-                    f"marginal at {anchor} has matrix shape {raw.shape[:2]}, expected {(dim, dim)}"
+                    f"marginal at {anchor} has matrix shape {mat.shape}, expected {(dim, dim)}"
                 )
             if anchor in margs:
                 raise MarginalFileError(f"duplicate marginal anchor {anchor}")
-            mat = raw[..., 0] + 1j * raw[..., 1]
             try:
                 op = DensityOperator(cluster_region(anchor, 3, 3), local_dim, mat)
                 if validate_spectra:

@@ -1,10 +1,9 @@
-"""Petz right-merge, merge products, recovery-based Markov checks, and the merging-lemma combiner."""
+"""Petz right-merge, recovery-based Markov checks, and the merging-lemma combiner."""
 
 from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -15,9 +14,9 @@ from .operator_core import (
     REPAIR_DIM_MAX,
     DensityOperator,
     StateError,
+    apply_on_sites,
     check_dim_guard,
     cmi,
-    embed_operator,
     partial_trace,
     pinv_sqrt_psd,
     product_operator,
@@ -46,23 +45,6 @@ class RightMergeInfo(NamedTuple):
     trace_before_renorm: float
     clipped_weight: float
     tensor_extension: bool
-
-
-@dataclass
-class MergeExpression:
-    """A left-associated chain of right-merges: ((initial <| f_1) ...) <| f_n."""
-
-    initial: DensityOperator
-    factors: list[DensityOperator] = field(default_factory=list)
-
-    def tensor_extension_flags(self) -> list[bool]:
-        """True where a factor shares no site with what came before it (plain tensor extension)."""
-        seen = set(self.initial.region)
-        flags = []
-        for f in self.factors:
-            flags.append(not (seen & set(f.region)))
-            seen.update(f.region)
-        return flags
 
 
 def right_merge_info(
@@ -94,21 +76,27 @@ def right_merge_info(
         out = product_operator([sigma, rho])
         return out, RightMergeInfo(overlap, 1.0, 0.0, True)
 
+    # K = rho_BC^1/2 (rho_B^-1/2 (x) I_C) = ((rho_B^-1/2 (x) I_C) rho_BC^1/2)^dag, both roots Hermitian
     rho_b = partial_trace(rho, overlap)
-    k_bc = sqrt_psd(rho.matrix) @ embed_operator(
-        pinv_sqrt_psd(rho_b.matrix), overlap, rho.region, d
-    )
-    k_full = embed_operator(k_bc, rho.region, total, d)
-    sig_full = embed_operator(sigma.matrix, sigma.region, total, d)
-    out = k_full @ sig_full @ k_full.conj().T
-    out = 0.5 * (out + out.conj().T)
+    b_pos = [rho.site_pos(s) for s in overlap]
+    k_bc = apply_on_sites(pinv_sqrt_psd(rho_b.matrix), sqrt_psd(rho.matrix), b_pos, d).conj().T
+    # X = sigma (x) I_C / dim C; the scale is undone on the trace below
+    ext = region_difference(rho.region, overlap)
+    dim_ext = d ** len(ext)
+    out = product_operator([sigma, DensityOperator(ext, d, np.eye(dim_ext) / dim_ext)]).matrix
+    # K X K^dag = (conj(K) (K X)^T)^T: K acts on rho's legs only and the transposes are views
+    r_pos = [total.index(s) for s in rho.region]
+    out = apply_on_sites(k_bc, out, r_pos, d)
+    out = apply_on_sites(k_bc.conj(), out.T, r_pos, d)
+    out = 0.5 * (out.conj() + out.T)
 
-    tr = float(out.trace().real)
+    tr_x = float(out.trace().real)
+    tr = tr_x * dim_ext
     if tr < 1e-12:
         raise SupportMismatchError(
             f"merged trace {tr:.3e}: overlap marginals have no common support"
         )
-    out = out / tr
+    out = out / tr_x
     clipped = 0.0
     if out.shape[0] <= REPAIR_DIM_MAX:
         w, u = _eigh(out)
@@ -129,16 +117,6 @@ def right_merge_info(
 def right_merge(sigma: DensityOperator, rho: DensityOperator, **kwargs) -> DensityOperator:
     out, _ = right_merge_info(sigma, rho, **kwargs)
     return out
-
-
-def merge_product(expr: MergeExpression, *, dim_guard: int | None = None) -> DensityOperator:
-    """Left-associated fold of right-merges; disjoint factors degrade to tensor extensions."""
-    state = expr.initial
-    for f, ext in zip(expr.factors, expr.tensor_extension_flags()):
-        if ext:
-            logger.info("merge factor on %s is a plain tensor extension", f.region)
-        state = right_merge(state, f, allow_disjoint=True, dim_guard=dim_guard)
-    return state
 
 
 class MarkovCheck(NamedTuple):

@@ -3,15 +3,19 @@
 Tensor-factor convention: the sites of a region in canonical order (y, then x)
 index the tensor factors most-significant first, so the flat matrix index of a
 basis state is the base-d number whose leading digit belongs to the first site.
-All operators are stored as complex128; helpers transparently drop to real
-arithmetic when the imaginary part is exactly zero.
+``_reorder_sites`` is the one place that turns sites into tensor axes; every
+partial trace, product, embedding and leg-local application (``apply_on_sites``)
+goes through it.  All operators are stored as complex128; helpers transparently
+drop to real arithmetic when the imaginary part is exactly zero.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, runtime_checkable
+from functools import reduce
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,8 +23,6 @@ from .lattice import (
     GeometryError,
     Region,
     as_region,
-    region_difference,
-    region_intersection,
     region_neighborhood,
     region_union,
     validate_block_path,
@@ -145,6 +147,40 @@ def _require_same_support(a: DensityOperator, b: DensityOperator) -> None:
         raise RegionMismatchError(f"regions differ: {a.region} vs {b.region}")
 
 
+def _reorder_sites(mat: np.ndarray, order: Sequence, new_order: Sequence, d: int) -> np.ndarray:
+    """Re-express a d^n-dim matrix whose tensor factors follow the sites ``order`` in ``new_order``.
+
+    Rows and columns are permuted alike; the result is contiguous.
+    """
+    pos = {s: i for i, s in enumerate(order)}
+    perm = [pos[s] for s in new_order]
+    n = len(perm)
+    t = mat.reshape((d,) * (2 * n)).transpose(perm + [n + p for p in perm])
+    return np.ascontiguousarray(t.reshape(mat.shape))
+
+
+def apply_on_sites(op: np.ndarray, mat: np.ndarray, positions: Sequence[int], local_dim: int) -> np.ndarray:
+    """``op`` acting on the tensor factors at ``positions`` (identity on the rest) times ``mat``.
+
+    ``mat`` is a square d^n-dim matrix; ``op`` is d^k-dim with its factors in
+    the order of ``positions``.  Factors that are not already adjacent and in
+    that order are moved in front and back again, so ``op (x) I`` is never
+    formed and the cost is d^(2n+k) rather than d^(3n).
+    """
+    d = local_dim
+    n = round(math.log(mat.shape[0], d))
+    k = len(positions)
+    if d ** n != mat.shape[0] or op.shape != (d ** k,) * 2:
+        raise ValueError(f"cannot apply a {op.shape} operator to {k} factors of a {mat.shape} matrix")
+    start = positions[0]
+    if list(positions) != list(range(start, start + k)):
+        sites = range(n)
+        front = list(positions) + [i for i in sites if i not in positions]
+        out = apply_on_sites(op, _reorder_sites(mat, sites, front, d), range(k), d)
+        return _reorder_sites(out, front, sites, d)
+    return np.matmul(op, mat.reshape(d ** start, d ** k, -1)).reshape(mat.shape)
+
+
 def partial_trace(op: DensityOperator, keep) -> DensityOperator:
     """Trace out everything outside ``keep``; the kept sites stay in canonical order."""
     keep = as_region(keep)
@@ -153,13 +189,10 @@ def partial_trace(op: DensityOperator, keep) -> DensityOperator:
         raise GeometryError(f"keep region {keep} is not contained in {op.region}")
     if keep == op.region:
         return op
-    d, n = op.local_dim, op.n_sites
-    keep_pos = [i for i, s in enumerate(op.region) if s in keep_set]
-    drop_pos = [i for i, s in enumerate(op.region) if s not in keep_set]
-    perm = keep_pos + drop_pos
-    t = op.matrix.reshape((d,) * (2 * n))
-    t = t.transpose(perm + [n + p for p in perm])
-    dk, dt = d ** len(keep_pos), d ** len(drop_pos)
+    d = op.local_dim
+    drop = [s for s in op.region if s not in keep_set]
+    dk, dt = d ** len(keep), d ** len(drop)
+    t = _reorder_sites(op.matrix, op.region, list(keep) + drop, d)
     out = np.einsum("itjt->ij", t.reshape(dk, dt, dk, dt))
     out = 0.5 * (out + out.conj().T)
     return DensityOperator(keep, d, out)
@@ -171,17 +204,11 @@ def embed_operator(mat: np.ndarray, sub, full, local_dim: int) -> np.ndarray:
     full = as_region(full)
     if not set(sub) <= set(full):
         raise GeometryError(f"sub region {sub} is not contained in {full}")
-    d = local_dim
     rest = [s for s in full if s not in set(sub)]
     if not rest:
         return mat
-    big = np.kron(mat, np.eye(d ** len(rest), dtype=mat.dtype))
-    order = list(sub) + rest
-    pos = {s: i for i, s in enumerate(order)}
-    perm = [pos[s] for s in full]
-    n = len(full)
-    t = big.reshape((d,) * (2 * n)).transpose(perm + [n + p for p in perm])
-    return np.ascontiguousarray(t.reshape(d ** n, d ** n))
+    big = np.kron(mat, np.eye(local_dim ** len(rest), dtype=mat.dtype))
+    return _reorder_sites(big, list(sub) + rest, full, local_dim)
 
 
 def product_operator(ops: Iterable[DensityOperator]) -> DensityOperator:
@@ -198,16 +225,9 @@ def product_operator(ops: Iterable[DensityOperator]) -> DensityOperator:
             raise GeometryError("factor regions overlap")
         seen.update(op.region)
     full = region_union(*(op.region for op in ops))
-    mat = ops[0].matrix
-    order: list = list(ops[0].region)
-    for op in ops[1:]:
-        mat = np.kron(mat, op.matrix)
-        order.extend(op.region)
-    pos = {s: i for i, s in enumerate(order)}
-    perm = [pos[s] for s in full]
-    n = len(full)
-    t = mat.reshape((d,) * (2 * n)).transpose(perm + [n + p for p in perm])
-    return DensityOperator(full, d, t.reshape(d ** n, d ** n))
+    order = [s for op in ops for s in op.region]
+    mat = _reorder_sites(reduce(np.kron, (op.matrix for op in ops)), order, full, d)
+    return DensityOperator(full, d, mat)
 
 
 def _entropy_from_eigs(w: np.ndarray, base: float) -> float:
@@ -281,20 +301,6 @@ def pinv_sqrt_psd(
     cutoff = rel_cutoff * max(float(w[-1]), 0.0)
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
     return (u * inv) @ u.conj().T
-
-
-def support_projector(mat: np.ndarray, rel_cutoff: float = EIG_CLIP_REL) -> np.ndarray:
-    w, u = _eigh(mat)
-    cutoff = rel_cutoff * max(float(w[-1]), 0.0)
-    keep = (w > cutoff).astype(mat.dtype)
-    return (u * keep) @ u.conj().T
-
-
-@runtime_checkable
-class EntropyProvider(Protocol):
-    """Anything that can hand out marginal entropies for lattice regions."""
-
-    def region_entropy(self, region, base: float = 2.0) -> float: ...
 
 
 def region_entropy_of(provider, region, base: float = 2.0):

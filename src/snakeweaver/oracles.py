@@ -17,6 +17,7 @@ from .marginal_store import MarginalSet, Window
 from .operator_core import (
     DensityOperator,
     StateError,
+    apply_on_sites,
     check_dim_guard,
     embed_operator,
     entropy,
@@ -179,13 +180,15 @@ def _diagonal_state(region: Region, groups, local_dim: int) -> np.ndarray:
 
 
 def _conjugate_sites(mat: np.ndarray, region: Region, unitaries: dict, local_dim: int) -> np.ndarray:
-    us = [unitaries.get(v) for v in region]
-    if all(u is None for u in us):
-        return mat
-    full = np.eye(1)
-    for u in us:
-        full = np.kron(full, np.eye(local_dim) if u is None else u)
-    return full @ mat @ full.conj().T
+    """U mat U^dag for U the product of the site unitaries, one leg at a time."""
+    legs = [(i, unitaries[v]) for i, v in enumerate(region) if v in unitaries]
+    # U M U^dag = (conj(U) (U M)^T)^T
+    for i, u in legs:
+        mat = apply_on_sites(u, mat, [i], local_dim)
+    mat = mat.T
+    for i, u in legs:
+        mat = apply_on_sites(u.conj(), mat, [i], local_dim)
+    return mat.T
 
 
 class RowMarkovSource:
@@ -305,11 +308,8 @@ class ProductSource:
                 self.site_states[v] = random_density_matrix(local_dim, rng)
 
     def marginal(self, region) -> DensityOperator:
-        region = as_region(region)
-        mat = np.eye(1, dtype=complex)
-        for v in region:
-            mat = np.kron(mat, self.site_states[v])
-        return DensityOperator(region, self.local_dim, mat)
+        d = self.local_dim
+        return product_operator([DensityOperator((v,), d, self.site_states[v]) for v in as_region(region)])
 
     def region_entropy(self, region, base: float = 2.0) -> float:
         total = 0.0
@@ -440,14 +440,15 @@ class StabilizerState:
 
     def to_dense(self, dim_guard: int | None = None) -> DensityOperator:
         check_dim_guard(2 ** self.n, dim_guard if dim_guard is not None else 2 ** 10)
-        dim = 2 ** self.n
-        rho = np.eye(dim, dtype=complex)
+        rho = np.eye(2 ** self.n, dtype=complex)
+        # the product of the commuting projectors (1 + g)/2, each Pauli string applied leg by leg
         for row in self.generators:
-            p = np.eye(1, dtype=complex)
+            g_rho = rho
             for i in range(self.n):
                 xb, zb = int(row[i]), int(row[self.n + i])
-                p = np.kron(p, _PAULI[(xb, zb)])
-            rho = rho @ (np.eye(dim) + p) / 2.0
+                if xb or zb:
+                    g_rho = apply_on_sites(_PAULI[(xb, zb)], g_rho, [i], 2)
+            rho = (rho + g_rho) / 2.0
         return DensityOperator(self.sites, 2, rho / rho.trace())
 
     def to_dict(self) -> dict:
@@ -632,23 +633,24 @@ def brute_force_maxent(
     def split(x):
         return [x[offsets[i]:offsets[i + 1]] for i in range(len(cons))]
 
-    def objective(x):
-        pieces = split(x)
+    def gibbs(x):
+        """log Z, the Boltzmann weights and rho = exp(H) / Z for H = sum of embedded multipliers."""
         h = np.zeros((dim, dim), dtype=complex)
-        for (region, _), piece, d_r in zip(cons, pieces, sizes):
+        for (region, _), piece, d_r in zip(cons, split(x), sizes):
             h += embed_operator(_herm_from_vec(piece, d_r), region, global_region, local_dim)
         w, u = _eigh(h)
         shift = w.max()
         expw = np.exp(w - shift)
         z = expw.sum()
-        logz = shift + np.log(z)
         p = expw / z
         rho = (u * p) @ u.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
+        return shift + np.log(z), p, 0.5 * (rho + rho.conj().T)
+
+    def objective(x):
+        val, _, rho = gibbs(x)
         state = DensityOperator(global_region, local_dim, rho, validate=False)
-        val = logz
         grads = []
-        for (region, target), piece, d_r in zip(cons, pieces, sizes):
+        for (region, target), piece, d_r in zip(cons, split(x), sizes):
             lam = _herm_from_vec(piece, d_r)
             val -= float(np.trace(target @ lam).real)
             marg = partial_trace(state, region).matrix
@@ -656,14 +658,7 @@ def brute_force_maxent(
         return val, np.concatenate(grads) if grads else np.zeros(0)
 
     def solve_state(x):
-        h = np.zeros((dim, dim), dtype=complex)
-        for (region, _), piece, d_r in zip(cons, split(x), sizes):
-            h += embed_operator(_herm_from_vec(piece, d_r), region, global_region, local_dim)
-        w, u = _eigh(h)
-        p = np.exp(w - w.max())
-        p /= p.sum()
-        rho = (u * p) @ u.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
+        _, p, rho = gibbs(x)
         state = DensityOperator(global_region, local_dim, rho / rho.trace().real)
         residual = 0.0
         for region, target in cons:

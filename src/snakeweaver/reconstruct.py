@@ -27,6 +27,7 @@ from .marginal_store import (
     _region_json,
     check_local_consistency,
     check_markov_conditions,
+    matrix_to_json,
 )
 from .merge import right_merge
 from .operator_core import (
@@ -64,10 +65,7 @@ class ReconstructionResult:
         }
         if include_state:
             out["region"] = _region_json(self.state.region)
-            out["matrix"] = [
-                [[float(z.real), float(z.imag)] for z in row]
-                for row in self.state.matrix.tolist()
-            ]
+            out["matrix"] = matrix_to_json(self.state.matrix)
         return out
 
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from snakeweaver.cli import main
-from snakeweaver.marginal_store import MarginalSet
+from snakeweaver.marginal_store import MarginalSet, Window, matrix_from_json
+from snakeweaver.oracles import gen_row_markov
+from snakeweaver.reconstruct import reconstruct_global
 
 
 def run(*argv):
@@ -69,6 +71,11 @@ def test_malformed_and_truncated_files_exit_2(tmp_path, row_file):
     trunc = tmp_path / "trunc.json"
     trunc.write_text(row_file.read_text()[:500])
     assert run("check", str(trunc)) == 2
+    data = json.loads(row_file.read_text())
+    data["marginals"][0]["matrix"][0][0] = [float("nan"), 0.0]
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps(data))
+    assert run("check", str(nan)) == 2
 
 
 def test_round_trip_is_bit_exact(row_file, tmp_path):
@@ -78,6 +85,19 @@ def test_round_trip_is_bit_exact(row_file, tmp_path):
     again = MarginalSet.load(copy)
     for a in ms.anchors():
         assert np.array_equal(ms.marginals[a].matrix, again.marginals[a].matrix)
+
+
+def test_global_and_state_files_hold_the_exact_matrices(tmp_path):
+    marginals, global_out, state_out = (tmp_path / f for f in ("m.json", "g.json", "s.json"))
+    assert run("generate", "--kind", "row-markov", "--width", "3", "--height", "3", "--seed", "4",
+               "--out", str(marginals), "--global-out", str(global_out)) == 0
+    assert run("reconstruct", str(marginals), "--state-out", str(state_out)) == 0
+    source = gen_row_markov(Window(3, 3), seed=4)
+    written = json.loads(global_out.read_text())
+    assert np.array_equal(matrix_from_json(written["matrix"]), source.global_state().matrix)
+    result = reconstruct_global(MarginalSet.load(marginals))
+    written = json.loads(state_out.read_text())
+    assert np.array_equal(matrix_from_json(written["matrix"]), result.state.matrix)
 
 
 def test_reconstruct_small_window(row_file, capsys):

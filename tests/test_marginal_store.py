@@ -186,7 +186,12 @@ def test_file_parser_rejections(tmp_path):
     def unnormalize(d):
         d["marginals"][0]["matrix"][0][0] = [5.0, 0.0]
 
+    def nan_entry(d):
+        d["marginals"][0]["matrix"][3][3] = [float("nan"), 0.0]
+
     reject(unnormalize)
+    reject(nan_entry)
+    reject(lambda d: d.__setitem__("marginals", 5))
 
     path = tmp_path / "trunc.json"
     path.write_text(json.dumps(good)[:200])

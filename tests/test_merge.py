@@ -1,4 +1,4 @@
-"""Right-merge, merge products, recovery checks, and the merging-lemma combiner."""
+"""Right-merge, recovery checks, and the merging-lemma combiner."""
 
 import warnings
 
@@ -9,16 +9,21 @@ from snakeweaver.lattice import as_region
 from snakeweaver.marginal_store import Window
 from snakeweaver.merge import (
     EmptyOverlapError,
-    MergeExpression,
     MergePreconditionError,
     SupportMismatchError,
     is_markov_via_recovery,
-    merge_product,
     merging_lemma_combine,
     right_merge,
     right_merge_info,
 )
-from snakeweaver.operator_core import cmi, partial_trace, product_operator, trace_distance
+from snakeweaver.operator_core import (
+    cmi,
+    partial_trace,
+    pinv_sqrt_psd,
+    product_operator,
+    sqrt_psd,
+    trace_distance,
+)
 from snakeweaver.oracles import (
     basis_state,
     gen_qmc_triple,
@@ -92,30 +97,55 @@ def test_right_merge_disjoint_overlap_support():
         right_merge(sigma, rho)
 
 
-def test_merge_product_empty_factors_and_products():
+def fold_right_merges(ops):
+    state = ops[0]
+    for op in ops[1:]:
+        state = right_merge(state, op)
+    return state
+
+
+def test_right_merge_fold_of_product_pairs():
     rng = np.random.default_rng(4)
-    init = random_state(S[:2], rng)
-    assert merge_product(MergeExpression(init, [])) is init
     singles = [random_state([s], rng) for s in S]
     pairs = [product_operator(singles[i:i + 2]) for i in range(3)]
-    out = merge_product(MergeExpression(pairs[0], pairs[1:]))
+    out = fold_right_merges(pairs)
     assert trace_distance(out, product_operator(singles)) < 1e-11
 
 
-def test_merge_product_rebuilds_classical_chain():
+def test_right_merge_fold_rebuilds_classical_chain():
     st = chain_state(5, unitaries="none")
     pairs = [partial_trace(st, S[i:i + 2]) for i in range(3)]
-    out = merge_product(MergeExpression(pairs[0], pairs[1:]))
+    out = fold_right_merges(pairs)
     assert trace_distance(out, st) < 1e-11
 
 
-def test_merge_expression_flags_tensor_extensions():
-    rng = np.random.default_rng(6)
-    expr = MergeExpression(
-        random_state([S[0], S[1]], rng),
-        [random_state([S[1], S[2]], rng), random_state([(9, 9)], rng)],
-    )
-    assert expr.tensor_extension_flags() == [False, True]
+def _dense_embed(mat, sub, full, d):
+    """mat (x) I on ``full`` by an explicit Kronecker product and a permutation of the factors."""
+    rest = [s for s in full if s not in sub]
+    big = np.kron(mat, np.eye(d ** len(rest)))
+    order = list(sub) + rest
+    n = len(full)
+    perm = [order.index(s) for s in full]
+    t = big.reshape((d,) * (2 * n)).transpose(perm + [n + p for p in perm])
+    return t.reshape(d ** n, d ** n)
+
+
+def test_right_merge_matches_dense_petz_on_interleaved_2d_pair():
+    # sigma on a 2x2 block, rho on the 2x2 block one column to the right: in
+    # canonical order their legs interleave, sigma at 0, 1, 3, 4 and rho at 1, 2, 4, 5
+    rng = np.random.default_rng(14)
+    sigma = random_state([(0, 0), (1, 0), (0, 1), (1, 1)], rng)
+    rho = random_state([(1, 0), (2, 0), (1, 1), (2, 1)], rng)
+    out, info = right_merge_info(sigma, rho)
+    total = out.region
+    overlap = as_region([(1, 0), (1, 1)])
+    rho_b = partial_trace(rho, overlap)
+    k = sqrt_psd(rho.matrix) @ _dense_embed(pinv_sqrt_psd(rho_b.matrix), overlap, rho.region, 2)
+    k_full = _dense_embed(k, rho.region, total, 2)
+    expect = k_full @ _dense_embed(sigma.matrix, sigma.region, total, 2) @ k_full.conj().T
+    expect = 0.5 * (expect + expect.conj().T)
+    assert info.trace_before_renorm == pytest.approx(expect.trace().real, abs=1e-12)
+    assert np.max(np.abs(out.matrix - expect / expect.trace().real)) < 1e-12
 
 
 def test_is_markov_via_recovery_cases():

@@ -11,6 +11,7 @@ from snakeweaver.operator_core import (
     DimensionGuardError,
     RegionMismatchError,
     StateError,
+    apply_on_sites,
     check_dim_guard,
     cmi,
     conditional_entropy,
@@ -152,6 +153,23 @@ def test_embed_operator_round_trip():
     op = DensityOperator(full, 2, big)
     assert trace_distance(partial_trace(op, R2), sub) < 1e-12
     assert trace_distance(partial_trace(op, [(0, 1)]), maximally_mixed([(0, 1)])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "d, n, positions", [(2, 5, [3, 0, 2]), (2, 5, [1, 3]), (3, 4, [2, 0]), (3, 4, [1, 2])]
+)
+def test_apply_on_sites_matches_kron_reference(d, n, positions):
+    rng = np.random.default_rng(12)
+    k = len(positions)
+    op = rng.standard_normal((d ** k,) * 2) + 1j * rng.standard_normal((d ** k,) * 2)
+    mat = rng.standard_normal((d ** n,) * 2) + 1j * rng.standard_normal((d ** n,) * 2)
+    # op (x) I with op's factors first, then the factors moved to their positions
+    order = list(positions) + [i for i in range(n) if i not in positions]
+    big = np.kron(op, np.eye(d ** (n - k)))
+    perm = [order.index(i) for i in range(n)]
+    big = big.reshape((d,) * (2 * n)).transpose(perm + [n + p for p in perm]).reshape(d ** n, d ** n)
+    assert np.max(np.abs(apply_on_sites(op, mat, positions, d) - big @ mat)) < 1e-12
+    assert np.max(np.abs(apply_on_sites(op, mat.T, positions, d) - big @ mat.T)) < 1e-12
 
 
 def test_dim_guard():
