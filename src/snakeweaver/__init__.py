@@ -18,7 +18,6 @@ from .lattice import (
     rotate_pi_local,
 )
 from .operator_core import (
-    DENSE_DIM_GUARD,
     DensityOperator,
     DimensionGuardError,
     RegionMismatchError,

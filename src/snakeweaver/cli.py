@@ -12,11 +12,9 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from .lattice import GeometryError
 from .marginal_store import (
-    CheckReport,
+    InconsistentMarginalsError,
     MarginalFileError,
     MarginalSet,
     Window,
@@ -44,16 +42,26 @@ def _parse_log_base(text: str) -> float:
     raise argparse.ArgumentTypeError(f"log base must be '2' or 'e', got {text!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """Options of every command."""
+    parser.add_argument("--json", action="store_true", help="print the machine-readable report to stdout")
+    parser.add_argument("--threads", type=int, default=None, help="BLAS thread cap (SNAKEWEAVER_THREADS)")
+
+
+def _add_report_options(parser: argparse.ArgumentParser) -> None:
+    """Options of the commands that read a marginal file and report on it."""
+    parser.add_argument("file")
+    parser.add_argument("--log-base", type=_parse_log_base, default=2.0, help="'2' for bits, 'e' for nats")
+    parser.add_argument("--report", metavar="PATH", help="also write the JSON report to this path")
+    _add_run_options(parser)
+
+
+def _add_tolerances(parser: argparse.ArgumentParser) -> None:
+    """Check tolerances of the commands that run the consistency and Markov checks."""
     parser.add_argument("--tol-cmi", type=float, default=1e-8, help="CMI tolerance (default 1e-8)")
     parser.add_argument(
         "--tol-consistency", type=float, default=1e-8, help="overlap trace-distance tolerance (default 1e-8)"
     )
-    parser.add_argument("--log-base", type=_parse_log_base, default=2.0, help="'2' for bits, 'e' for nats")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", action="store_true", help="print the machine-readable report to stdout")
-    parser.add_argument("--report", metavar="PATH", help="also write the JSON report to this path")
-    parser.add_argument("--threads", type=int, default=None, help="BLAS thread cap (SNAKEWEAVER_THREADS)")
 
 
 def _apply_threads(args) -> None:
@@ -80,15 +88,12 @@ def _emit(args, payload: dict) -> None:
 
 
 def _report_payload(command: str, args, reports: dict, extra: dict | None = None) -> dict:
+    config = {key: getattr(args, key) for key in ("tol_cmi", "tol_consistency") if key in args}
+    config["log_base"] = "e" if args.log_base == math.e else args.log_base
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": {
-            "tol_cmi": args.tol_cmi,
-            "tol_consistency": args.tol_consistency,
-            "log_base": "e" if args.log_base == math.e else args.log_base,
-            "seed": args.seed,
-        },
+        "config": config,
         "checks": {name: rep.to_dict() for name, rep in reports.items()},
     }
     if extra:
@@ -96,16 +101,8 @@ def _report_payload(command: str, args, reports: dict, extra: dict | None = None
     return payload
 
 
-def _load(path: str) -> MarginalSet:
-    return MarginalSet.load(path)
-
-
 def cmd_check(args) -> int:
-    try:
-        ms = _load(args.file)
-    except MarginalFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    ms = MarginalSet.load(args.file)
     consistency = check_local_consistency(ms, tol=args.tol_consistency, full_pairwise=args.full_pairwise)
     markov = check_markov_conditions(ms, tol=args.tol_cmi, base=args.log_base)
     ok = consistency.passed and markov.passed
@@ -128,11 +125,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    try:
-        ms = _load(args.file)
-    except MarginalFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    ms = MarginalSet.load(args.file)
     consistency = check_local_consistency(ms, tol=args.tol_consistency)
     markov = check_markov_conditions(ms, tol=args.tol_cmi, base=args.log_base)
     if not (consistency.passed and markov.passed) and not args.force:
@@ -160,7 +153,7 @@ def cmd_reconstruct(args) -> int:
         extra["step_cmis"] = [{"shared_row": y, "residual": r} for y, r in result.step_cmis]
         if args.state_out:
             with open(args.state_out, "w") as fh:
-                json.dump(result.to_dict(include_state=True), fh)
+                json.dump(result.to_dict(), fh)
         if not args.json:
             print(f"reconstruction entropy: {result.entropy:.9f}")
             print(f"max-entropy formula:    {float(formula):.9f}")
@@ -178,11 +171,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    try:
-        ms = _load(args.file)
-    except MarginalFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    ms = MarginalSet.load(args.file)
     terms = max_entropy_terms(ms, base=args.log_base)
     formula = sum(t for _, t in terms)
     med_value = row_major_med(ms, ms.window, base=args.log_base)
@@ -235,11 +224,7 @@ def cmd_generate(args) -> int:
         if source is None:
             print("error: no global state is defined for this kind", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        try:
-            state = source.global_state()
-        except DimensionGuardError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_GUARD
+        state = source.global_state()
         with open(args.global_out, "w") as fh:
             json.dump(
                 {
@@ -262,23 +247,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run local-consistency and Markov-condition checks")
-    p.add_argument("file")
-    p.add_argument("--full-pairwise", action="store_true", help="check every overlapping cluster pair")
-    _add_common(p)
+    p.add_argument(
+        "--full-pairwise",
+        action="store_true",
+        help="check every overlapping cluster pair to --tol-consistency; by default only adjacent "
+        "pairs are checked, which bounds a pair (dx, dy) apart by (|dx|+|dy|) times the tolerance",
+    )
+    _add_tolerances(p)
+    _add_report_options(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("reconstruct", help="rebuild the global state and compare entropies")
-    p.add_argument("file")
     p.add_argument("--force", action="store_true", help="reconstruct even when checks fail")
     p.add_argument("--formula-only", action="store_true", help="skip the dense state, print only the formula")
     p.add_argument("--state-out", metavar="PATH", help="dump the reconstructed state as JSON")
     p.add_argument("--tol-reconstruction", type=float, default=1e-6)
-    _add_common(p)
+    _add_tolerances(p)
+    _add_report_options(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("entropy", help="evaluate the max-entropy formula and the row-path MED")
-    p.add_argument("file")
-    _add_common(p)
+    _add_report_options(p)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("generate", help="emit marginal files from the built-in oracles")
@@ -290,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unitaries", choices=["haar", "real", "none"], default="haar")
     p.add_argument("--eps", type=float, default=1e-3, help="depolarization strength for kind=depolarized")
     p.add_argument("--anchor", type=int, nargs=2, default=None, help="anchor to depolarize")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_run_options(p)
     p.set_defaults(func=cmd_generate)
 
     return parser
@@ -304,6 +294,9 @@ def main(argv=None) -> int:
     except MarginalFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except InconsistentMarginalsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except DimensionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -51,6 +51,10 @@ class MissingMarginalError(GeometryError):
     """Requested region is not contained in any stored cluster."""
 
 
+class InconsistentMarginalsError(StateError):
+    """Two stored clusters reduce to different states on a region they share."""
+
+
 @dataclass(frozen=True)
 class Window:
     """A W x H block of sites with its bottom-left corner at the origin."""
@@ -265,12 +269,12 @@ class MarginalSet:
                 out.append((ax, ay))
         return sorted(out, key=canonical_key)
 
-    def derived_marginal(self, region, cross_validate: bool = True, tol: float = 1e-8) -> DensityOperator:
+    def derived_marginal(self, region) -> DensityOperator:
         """Reduction of the stored marginal with the smallest parent anchor (y, then x).
 
-        With ``cross_validate`` every other containing parent is reduced too and
-        must agree within ``tol``; results are cached, so each distinct region
-        pays for validation once.
+        Every other containing parent is reduced too and must agree within 1e-8
+        in trace distance; results are cached, so each distinct region pays for
+        validation once.
         """
         region = as_region(region)
         cached = self._derived_cache.get(region)
@@ -280,15 +284,13 @@ class MarginalSet:
         if not parents:
             raise MissingMarginalError(f"region {region} is not contained in any inside 3x3 cluster")
         out = partial_trace(self.marginals[parents[0]], region)
-        if cross_validate:
-            for other in parents[1:]:
-                alt = partial_trace(self.marginals[other], region)
-                dist = trace_distance(out, alt)
-                if dist > tol:
-                    raise StateError(
-                        f"parents {parents[0]} and {other} disagree on {region}: "
-                        f"trace distance {dist:.3e} exceeds {tol:.0e}"
-                    )
+        for other in parents[1:]:
+            dist = trace_distance(out, partial_trace(self.marginals[other], region))
+            if dist > 1e-8:
+                raise InconsistentMarginalsError(
+                    f"parents {parents[0]} and {other} disagree on {region}: "
+                    f"trace distance {dist:.3e} exceeds 1e-08"
+                )
         self._derived_cache[region] = out
         return out
 
@@ -320,7 +322,7 @@ class MarginalSet:
             json.dump(self.to_dict(), fh)
 
     @classmethod
-    def from_dict(cls, data: dict, validate_spectra: bool = True) -> "MarginalSet":
+    def from_dict(cls, data: dict) -> "MarginalSet":
         try:
             version = data["format_version"]
         except (TypeError, KeyError):
@@ -354,21 +356,20 @@ class MarginalSet:
                 raise MarginalFileError(f"duplicate marginal anchor {anchor}")
             try:
                 op = DensityOperator(cluster_region(anchor, 3, 3), local_dim, mat)
-                if validate_spectra:
-                    op.validate_spectrum()
+                op.validate_spectrum()
             except StateError as exc:
                 raise MarginalFileError(f"marginal at {anchor} is not a valid state: {exc}") from exc
             margs[anchor] = op
         return cls(window, local_dim, margs, log_base)
 
     @classmethod
-    def load(cls, path, validate_spectra: bool = True) -> "MarginalSet":
+    def load(cls, path) -> "MarginalSet":
         try:
             with open(path) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise MarginalFileError(f"cannot read marginal file: {exc}") from exc
-        return cls.from_dict(data, validate_spectra=validate_spectra)
+        return cls.from_dict(data)
 
 
 def check_markov_conditions(ms: MarginalSet, tol: float = 1e-8, base: float | None = None) -> CheckReport:
@@ -412,9 +413,13 @@ def check_local_consistency(
 ) -> CheckReport:
     """Trace distance of overlap reductions for adjacent cluster pairs.
 
-    Adjacent pairs suffice: any two overlapping clusters are connected through a
-    chain of adjacent overlaps, so transitivity covers the rest.  Set
-    ``full_pairwise`` to check every overlapping pair regardless.
+    Adjacent pairs bound the rest only up to a factor: two overlapping clusters
+    (dx, dy) apart are linked through |dx| + |dy| adjacent steps whose clusters
+    all contain their overlap; by monotonicity of the trace distance under
+    partial trace each step moves the shared reduction by at most ``tol``, and
+    the triangle inequality adds the steps up.  So passing certifies every
+    overlapping pair to (|dx| + |dy|) * tol, up to 4 * tol, not to ``tol``.
+    Set ``full_pairwise`` to check every overlapping pair to ``tol``.
     """
     report = CheckReport()
     anchors = ms.anchors()

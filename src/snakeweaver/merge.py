@@ -44,16 +44,9 @@ class RightMergeInfo(NamedTuple):
     overlap: tuple
     trace_before_renorm: float
     clipped_weight: float
-    tensor_extension: bool
 
 
-def right_merge_info(
-    sigma: DensityOperator,
-    rho: DensityOperator,
-    *,
-    allow_disjoint: bool = False,
-    dim_guard: int | None = None,
-) -> tuple[DensityOperator, RightMergeInfo]:
+def right_merge_info(sigma: DensityOperator, rho: DensityOperator) -> tuple[DensityOperator, RightMergeInfo]:
     """Right-merge of ``rho`` into ``sigma``: rho_BC^1/2 rho_B^-1/2 sigma rho_B^-1/2 rho_BC^1/2.
 
     B is the overlap of the two regions, extended by identity factors on the
@@ -67,14 +60,9 @@ def right_merge_info(
     d = sigma.local_dim
     overlap = region_intersection(sigma.region, rho.region)
     total = region_union(sigma.region, rho.region)
-    check_dim_guard(d ** len(total), dim_guard)
+    check_dim_guard(d ** len(total))
     if not overlap:
-        if not allow_disjoint:
-            raise EmptyOverlapError(
-                "merge operands share no sites; pass allow_disjoint=True for a tensor extension"
-            )
-        out = product_operator([sigma, rho])
-        return out, RightMergeInfo(overlap, 1.0, 0.0, True)
+        raise EmptyOverlapError("merge operands share no sites; use product_operator for a tensor product")
 
     # K = rho_BC^1/2 (rho_B^-1/2 (x) I_C) = ((rho_B^-1/2 (x) I_C) rho_BC^1/2)^dag, both roots Hermitian
     rho_b = partial_trace(rho, overlap)
@@ -110,12 +98,12 @@ def right_merge_info(
     dev = abs(tr - 1.0)
     if dev > 1e-6:
         logger.warning("right_merge trace deviated by %.3e before renormalization", dev)
-    info = RightMergeInfo(overlap, tr, clipped, False)
+    info = RightMergeInfo(overlap, tr, clipped)
     return DensityOperator(total, d, out), info
 
 
-def right_merge(sigma: DensityOperator, rho: DensityOperator, **kwargs) -> DensityOperator:
-    out, _ = right_merge_info(sigma, rho, **kwargs)
+def right_merge(sigma: DensityOperator, rho: DensityOperator) -> DensityOperator:
+    out, _ = right_merge_info(sigma, rho)
     return out
 
 

@@ -133,9 +133,6 @@ class DensityOperator:
         if lo < -tol:
             raise StateError(f"smallest eigenvalue {lo:.3e} is below -{tol:.0e}")
 
-    def reduce(self, keep) -> "DensityOperator":
-        return partial_trace(self, keep)
-
     def region_entropy(self, region, base: float = 2.0) -> float:
         return entropy(partial_trace(self, region), base=base)
 
@@ -280,25 +277,21 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     return float(0.5 * np.abs(w).sum())
 
 
-def sqrt_psd(mat: np.ndarray, neg_tol: float = NEG_EIG_ABORT) -> np.ndarray:
-    """PSD square root via eigendecomposition; negative eigenvalues beyond ``neg_tol`` abort."""
+def sqrt_psd(mat: np.ndarray) -> np.ndarray:
+    """PSD square root via eigendecomposition; eigenvalues below -NEG_EIG_ABORT abort."""
     w, u = _eigh(mat)
-    if w[0] < -neg_tol:
+    if w[0] < -NEG_EIG_ABORT:
         raise StateError(f"matrix is not PSD: eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T
 
 
-def pinv_sqrt_psd(
-    mat: np.ndarray,
-    rel_cutoff: float = EIG_CLIP_REL,
-    neg_tol: float = NEG_EIG_ABORT,
-) -> np.ndarray:
-    """Inverse square root on the numerical support; zero elsewhere."""
+def pinv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
+    """Inverse square root on the numerical support (above EIG_CLIP_REL of the top); zero elsewhere."""
     w, u = _eigh(mat)
-    if w[0] < -neg_tol:
+    if w[0] < -NEG_EIG_ABORT:
         raise StateError(f"matrix is not PSD: eigenvalue {w[0]:.3e}")
-    cutoff = rel_cutoff * max(float(w[-1]), 0.0)
+    cutoff = EIG_CLIP_REL * max(float(w[-1]), 0.0)
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
     return (u * inv) @ u.conj().T
 

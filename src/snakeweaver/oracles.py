@@ -206,7 +206,6 @@ class RowMarkovSource:
         orientation: str = "rows",
         unitaries: str = "haar",
         local_dim: int = 2,
-        floor: float = 0.1,
         chains: list | None = None,
     ):
         if orientation not in ("rows", "columns"):
@@ -219,7 +218,7 @@ class RowMarkovSource:
         n_chains = window.height if orientation == "rows" else window.width
         chain_len = window.width if orientation == "rows" else window.height
         if chains is None:
-            chains = [ClassicalChain.random(chain_len, local_dim, rng, floor) for _ in range(n_chains)]
+            chains = [ClassicalChain.random(chain_len, local_dim, rng) for _ in range(n_chains)]
         if len(chains) != n_chains or any(c.length != chain_len for c in chains):
             raise ValueError("chain list does not match the window geometry")
         self.chains = list(chains)
@@ -272,8 +271,8 @@ class RowMarkovSource:
         margs = {a: self.marginal(cluster_region(a, 3, 3)) for a in self.window.cluster_anchors()}
         return MarginalSet(self.window, self.local_dim, margs)
 
-    def global_state(self, dim_guard: int | None = None) -> DensityOperator:
-        check_dim_guard(self.local_dim ** (self.window.width * self.window.height), dim_guard)
+    def global_state(self) -> DensityOperator:
+        check_dim_guard(self.local_dim ** (self.window.width * self.window.height))
         return self.marginal(self.window.sites())
 
 
@@ -322,8 +321,8 @@ class ProductSource:
         margs = {a: self.marginal(cluster_region(a, 3, 3)) for a in self.window.cluster_anchors()}
         return MarginalSet(self.window, self.local_dim, margs)
 
-    def global_state(self, dim_guard: int | None = None) -> DensityOperator:
-        check_dim_guard(self.local_dim ** (self.window.width * self.window.height), dim_guard)
+    def global_state(self) -> DensityOperator:
+        check_dim_guard(self.local_dim ** (self.window.width * self.window.height))
         return self.marginal(self.window.sites())
 
 
@@ -438,8 +437,8 @@ class StabilizerState:
             return bits
         return bits * np.log(2.0) / np.log(base)
 
-    def to_dense(self, dim_guard: int | None = None) -> DensityOperator:
-        check_dim_guard(2 ** self.n, dim_guard if dim_guard is not None else 2 ** 10)
+    def to_dense(self) -> DensityOperator:
+        check_dim_guard(2 ** self.n, 2 ** 10)
         rho = np.eye(2 ** self.n, dtype=complex)
         # the product of the commuting projectors (1 + g)/2, each Pauli string applied leg by leg
         for row in self.generators:
@@ -602,7 +601,6 @@ def brute_force_maxent(
     tol: float = 1e-9,
     base: float = 2.0,
     max_iter: int = 100_000,
-    dim_guard: int = 2 ** 12,
     strict: bool = True,
 ) -> MaxEntSolution:
     """Maximize von Neumann entropy subject to marginal constraints.
@@ -615,7 +613,7 @@ def brute_force_maxent(
     """
     global_region = as_region(global_region)
     dim = local_dim ** len(global_region)
-    check_dim_guard(dim, dim_guard)
+    check_dim_guard(dim, 2 ** 12)
     cons = []
     for region, op in constraints:
         region = as_region(region)

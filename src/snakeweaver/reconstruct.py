@@ -31,9 +31,8 @@ from .marginal_store import (
 )
 from .merge import right_merge
 from .operator_core import (
-    DENSE_DIM_GUARD,
     DensityOperator,
-    DimensionGuardError,
+    check_dim_guard,
     cmi,
     entropy,
     med,
@@ -55,18 +54,16 @@ class ReconstructionResult:
     marginal_report: CheckReport = field(default_factory=CheckReport)
     precheck: CheckReport = field(default_factory=CheckReport)
 
-    def to_dict(self, include_state: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "entropy": self.entropy,
             "log_base": self.base,
             "step_cmis": [{"shared_row": y, "residual": r} for y, r in self.step_cmis],
             "marginal_report": self.marginal_report.to_dict(),
             "precheck": self.precheck.to_dict(),
+            "region": _region_json(self.state.region),
+            "matrix": matrix_to_json(self.state.matrix),
         }
-        if include_state:
-            out["region"] = _region_json(self.state.region)
-            out["matrix"] = matrix_to_json(self.state.matrix)
-        return out
 
 
 def _row_region(window: Window, y: int) -> Region:
@@ -78,7 +75,6 @@ def reconstruct_global(
     *,
     tol: float = 1e-6,
     precheck_tol: float = 1e-8,
-    dim_guard: int | None = None,
     base: float | None = None,
 ) -> ReconstructionResult:
     """Stack level-2 snakes bottom to top by right-merges sharing one row each.
@@ -92,12 +88,7 @@ def reconstruct_global(
     window = ms.window
     if window.width < 3 or window.height < 2:
         raise GeometryError("reconstruction needs a window of at least 3x2")
-    dim = ms.local_dim ** (window.width * window.height)
-    guard = DENSE_DIM_GUARD if dim_guard is None else dim_guard
-    if dim > guard:
-        raise DimensionGuardError(
-            f"global state dimension {dim} exceeds the guard of {guard}"
-        )
+    check_dim_guard(ms.local_dim ** (window.width * window.height))
 
     precheck = CheckReport()
     precheck.extend(check_local_consistency(ms, tol=precheck_tol))
@@ -111,11 +102,11 @@ def reconstruct_global(
         )
 
     v, u = (0, 0), (window.width - 1, 0)
-    state = build_snake(ms, SnakeSpec(2, v, u), dim_guard=guard)
+    state = build_snake(ms, SnakeSpec(2, v, u))
     step_cmis = []
     for y in range(1, window.height - 1):
-        strip = build_snake(ms, SnakeSpec(2, (0, y), (window.width - 1, y)), dim_guard=guard)
-        state = right_merge(state, strip, dim_guard=guard)
+        strip = build_snake(ms, SnakeSpec(2, (0, y), (window.width - 1, y)))
+        state = right_merge(state, strip)
         below = region_union(*[_row_region(window, yy) for yy in range(y)])
         residual = cmi(state, below, _row_region(window, y), _row_region(window, y + 1), base=base)
         step_cmis.append((y, float(residual)))
@@ -141,14 +132,14 @@ def reconstruct_global(
     )
 
 
-def vertical_markov_check(ms: MarginalSet, tol: float = 1e-8, dim_guard: int | None = None) -> CheckReport:
+def vertical_markov_check(ms: MarginalSet, tol: float = 1e-8) -> CheckReport:
     """Level-3 snakes spanning the window are Markov between top and bottom rows given the middle."""
     window = ms.window
     if window.height < 3:
         raise GeometryError("vertical checks need at least three rows")
     report = CheckReport()
     for y in range(window.height - 2):
-        snake = build_snake(ms, SnakeSpec(3, (0, y), (window.width - 1, y)), dim_guard=dim_guard)
+        snake = build_snake(ms, SnakeSpec(3, (0, y), (window.width - 1, y)))
         residual = cmi(
             snake,
             _row_region(window, y),

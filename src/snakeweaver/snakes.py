@@ -151,28 +151,26 @@ def _merge_plan(spec: SnakeSpec) -> list[Region]:
     return [base] + lower + flat
 
 
-def max_span_for_guard(level: int, local_dim: int, dim_guard: int | None = None) -> int:
-    guard = DENSE_DIM_GUARD if dim_guard is None else dim_guard
-    return int(math.floor(math.log(guard) / math.log(local_dim) / level)) - 1
+def max_span_for_guard(level: int, local_dim: int) -> int:
+    return int(math.floor(math.log(DENSE_DIM_GUARD) / math.log(local_dim) / level)) - 1
 
 
-def build_snake(ms: MarginalSet, spec: SnakeSpec, dim_guard: int | None = None) -> DensityOperator:
+def build_snake(ms: MarginalSet, spec: SnakeSpec) -> DensityOperator:
     """Assemble the snake state from derived marginals by left-associated right-merges."""
     support = spec.support()
     if not ms.window.contains_region(support):
         raise GeometryError(f"snake support {support} extends outside the window")
     dim = ms.local_dim ** len(support)
-    guard = DENSE_DIM_GUARD if dim_guard is None else dim_guard
-    if dim > guard:
+    if dim > DENSE_DIM_GUARD:
         raise DimensionGuardError(
-            f"snake on {len(support)} sites needs dimension {dim} > guard {guard}; "
+            f"snake on {len(support)} sites needs dimension {dim} > guard {DENSE_DIM_GUARD}; "
             f"maximal span at level {spec.level} and d={ms.local_dim} is "
-            f"{max_span_for_guard(spec.level, ms.local_dim, guard)}"
+            f"{max_span_for_guard(spec.level, ms.local_dim)}"
         )
     plan = _merge_plan(spec)
     state = ms.derived_marginal(plan[0])
     for region in plan[1:]:
-        state = right_merge(state, ms.derived_marginal(region), dim_guard=guard)
+        state = right_merge(state, ms.derived_marginal(region))
     return state
 
 

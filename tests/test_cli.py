@@ -62,6 +62,12 @@ def test_depolarized_kind_fails_consistency(tmp_path, capsys):
         if not r["passed"]
     ]
     assert failing and all("2,0" in f for f in failing)
+    # the disagreeing parents stop the derived marginals: a failed check, not a traceback
+    for argv in (("entropy", str(path)), ("reconstruct", str(path), "--force")):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parents") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_malformed_and_truncated_files_exit_2(tmp_path, row_file):
@@ -135,6 +141,17 @@ def test_entropy_nats(row_file, capsys):
     assert run("entropy", str(row_file), "--json") == 0
     bits = json.loads(capsys.readouterr().out)["max_entropy_formula"]
     assert nats == pytest.approx(bits * np.log(2.0), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv", [("generate", "--kind", "product", "--log-base", "e"), ("entropy", "--tol-cmi", "1e-6")]
+)
+def test_flags_a_command_does_not_read_are_rejected(argv, row_file, tmp_path, capsys):
+    target = ("--out", str(tmp_path / "x.json")) if argv[0] == "generate" else (str(row_file),)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, *target)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_generate_rejects_bad_params(tmp_path):

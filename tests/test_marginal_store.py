@@ -8,6 +8,7 @@ import pytest
 from snakeweaver.lattice import cluster_region
 from snakeweaver.marginal_store import (
     CheckReport,
+    InconsistentMarginalsError,
     MarginalFileError,
     MarginalSet,
     MissingMarginalError,
@@ -16,7 +17,7 @@ from snakeweaver.marginal_store import (
     check_local_consistency,
     check_markov_conditions,
 )
-from snakeweaver.operator_core import StateError, partial_trace, trace_distance
+from snakeweaver.operator_core import partial_trace, trace_distance
 from snakeweaver.oracles import (
     depolarize_marginal,
     gen_product,
@@ -145,8 +146,8 @@ def test_derived_marginal_cross_validation_failure():
     ms = gen_repetition_rows(Window(4, 3)).marginal_set()
     bad = depolarize_marginal(ms, (2, 0), 1e-3)
     # an in-row pair seen by both the clean and the depolarized parent
-    with pytest.raises(StateError):
-        bad.derived_marginal(((1, 0), (2, 0)), tol=1e-8)
+    with pytest.raises(InconsistentMarginalsError):
+        bad.derived_marginal(((1, 0), (2, 0)))
 
 
 def test_derived_marginal_missing():

@@ -66,7 +66,6 @@ def test_right_merge_petz_formula_example():
     )
     assert trace_distance(out, expect) < 1e-12
     assert info.overlap == as_region([S[1]])
-    assert not info.tensor_extension
 
 
 def test_right_merge_trace_deviation_small_on_consistent_inputs():
@@ -85,9 +84,6 @@ def test_right_merge_empty_overlap():
     b = random_state([S[2]], rng)
     with pytest.raises(EmptyOverlapError):
         right_merge(a, b)
-    out, info = right_merge_info(a, b, allow_disjoint=True)
-    assert info.tensor_extension
-    assert trace_distance(out, product_operator([a, b])) < 1e-12
 
 
 def test_right_merge_disjoint_overlap_support():

@@ -64,10 +64,9 @@ def test_reconstruct_warns_on_contaminated_input():
 
 
 def test_reconstruct_rejects_small_windows_and_guard():
-    src = gen_row_markov(Window(3, 3), seed=3)
-    ms = src.marginal_set()
-    with pytest.raises(DimensionGuardError):
-        reconstruct_global(ms, dim_guard=2 ** 5)
+    ms = gen_row_markov(Window(5, 3), seed=3).marginal_set()
+    with pytest.raises(DimensionGuardError):  # 15 qubits: dimension 2^15 > the 2^14 guard
+        reconstruct_global(ms)
 
 
 @pytest.mark.parametrize("orientation,seed", [("rows", 4), ("columns", 5)])

@@ -154,9 +154,9 @@ def test_marginal_reproduction(ms33):
 def test_dimension_guard_names_span():
     ms = gen_row_markov(Window(5, 3), seed=25).marginal_set()
     with pytest.raises(DimensionGuardError) as err:
-        build_snake(ms, SnakeSpec(3, (0, 0), (4, 0)), dim_guard=2 ** 10)
+        build_snake(ms, SnakeSpec(3, (0, 0), (4, 0)))
     assert "maximal span" in str(err.value)
-    assert max_span_for_guard(3, 2, 2 ** 10) == 2
+    assert max_span_for_guard(3, 2) == 3
 
 
 def test_window_containment():
