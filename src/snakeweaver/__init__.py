@@ -91,7 +91,6 @@ from .oracles import (
     gen_row_markov,
     ghz_row_source,
     repetition_rows,
-    stabilizer_entropy,
 )
 
 __version__ = "0.1.0"

@@ -52,8 +52,8 @@ class CIStatement:
         return cls(cond.A, cond.B, cond.C)
 
 
-def statement_residual(op: DensityOperator, s: CIStatement, base: float = 2.0) -> float:
-    return cmi(op, s.A, s.B, s.C, base=base)
+def statement_residual(op: DensityOperator, s: CIStatement) -> float:
+    return cmi(op, s.A, s.B, s.C)
 
 
 def _proper_nonempty_subsets(region: Region) -> Iterator[tuple]:

@@ -1,5 +1,10 @@
 """Command-line surface: generate marginal files, run checks, reconstruct, evaluate entropies.
 
+The library computes every entropy and CMI in bits.  This module is the one
+place that knows another unit: with ``--log-base e`` it reads ``--tol-cmi`` in
+nats, runs the checks in bits and multiplies every entropy, CMI residual and
+CMI tolerance it prints or writes by ln 2.
+
 Exit codes: 0 success, 1 a check failed, 2 unusable input, 3 resource guard.
 """
 
@@ -14,6 +19,7 @@ import warnings
 
 from .lattice import GeometryError
 from .marginal_store import (
+    CheckReport,
     InconsistentMarginalsError,
     MarginalFileError,
     MarginalSet,
@@ -21,6 +27,7 @@ from .marginal_store import (
     check_local_consistency,
     check_markov_conditions,
     matrix_to_json,
+    write_json,
 )
 from .operator_core import DimensionGuardError, StateError
 from .oracles import depolarize_marginal, gen_product, gen_row_markov, ghz_row_source
@@ -42,23 +49,38 @@ def _parse_log_base(text: str) -> float:
     raise argparse.ArgumentTypeError(f"log base must be '2' or 'e', got {text!r}")
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
+def _per_bit(args) -> float:
+    """Reported units per bit: exactly 1 for bits, ln 2 for nats."""
+    return math.log(2.0) / math.log(args.log_base)
+
+
+def _cmis_in_unit(report: CheckReport, per_bit: float) -> CheckReport:
+    """Convert the CMI residuals and tolerances of ``report`` from bits; trace distances have no unit."""
+    for rec in report.records:
+        if rec.kind == "cmi":
+            rec.residual *= per_bit
+            rec.tol *= per_bit
+    return report
+
+
+def _add_run_options(parser: argparse.ArgumentParser, json_help: str) -> None:
     """Options of every command."""
-    parser.add_argument("--json", action="store_true", help="print the machine-readable report to stdout")
+    parser.add_argument("--json", action="store_true", help=json_help)
     parser.add_argument("--threads", type=int, default=None, help="BLAS thread cap (SNAKEWEAVER_THREADS)")
 
 
 def _add_report_options(parser: argparse.ArgumentParser) -> None:
     """Options of the commands that read a marginal file and report on it."""
     parser.add_argument("file")
-    parser.add_argument("--log-base", type=_parse_log_base, default=2.0, help="'2' for bits, 'e' for nats")
+    unit_help = "'2' (bits, default) or 'e' (nats): converts every reported entropy and CMI, and --tol-cmi"
+    parser.add_argument("--log-base", type=_parse_log_base, default=2.0, help=unit_help)
     parser.add_argument("--report", metavar="PATH", help="also write the JSON report to this path")
-    _add_run_options(parser)
+    _add_run_options(parser, "print the machine-readable report to stdout")
 
 
 def _add_tolerances(parser: argparse.ArgumentParser) -> None:
     """Check tolerances of the commands that run the consistency and Markov checks."""
-    parser.add_argument("--tol-cmi", type=float, default=1e-8, help="CMI tolerance (default 1e-8)")
+    parser.add_argument("--tol-cmi", type=float, default=1e-8, help="CMI tolerance in the --log-base unit (default 1e-8)")
     parser.add_argument(
         "--tol-consistency", type=float, default=1e-8, help="overlap trace-distance tolerance (default 1e-8)"
     )
@@ -103,8 +125,9 @@ def _report_payload(command: str, args, reports: dict, extra: dict | None = None
 
 def cmd_check(args) -> int:
     ms = MarginalSet.load(args.file)
+    per_bit = _per_bit(args)
     consistency = check_local_consistency(ms, tol=args.tol_consistency, full_pairwise=args.full_pairwise)
-    markov = check_markov_conditions(ms, tol=args.tol_cmi, base=args.log_base)
+    markov = _cmis_in_unit(check_markov_conditions(ms, tol=args.tol_cmi / per_bit), per_bit)
     ok = consistency.passed and markov.passed
     payload = _report_payload("check", args, {"consistency": consistency, "markov": markov})
     _emit(args, payload)
@@ -126,8 +149,9 @@ def cmd_check(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     ms = MarginalSet.load(args.file)
+    per_bit = _per_bit(args)
     consistency = check_local_consistency(ms, tol=args.tol_consistency)
-    markov = check_markov_conditions(ms, tol=args.tol_cmi, base=args.log_base)
+    markov = _cmis_in_unit(check_markov_conditions(ms, tol=args.tol_cmi / per_bit), per_bit)
     if not (consistency.passed and markov.passed) and not args.force:
         print(
             "error: marginals fail their checks; rerun with --force to reconstruct anyway",
@@ -135,35 +159,35 @@ def cmd_reconstruct(args) -> int:
         )
         return EXIT_CHECK_FAILED
 
-    formula = max_entropy_formula(ms, base=args.log_base)
-    extra = {"max_entropy_formula": float(formula)}
+    formula = float(max_entropy_formula(ms)) * per_bit
+    extra = {"max_entropy_formula": formula}
     reports = {"consistency": consistency, "markov": markov}
     if not args.formula_only:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                result = reconstruct_global(
-                    ms, tol=args.tol_reconstruction, precheck_tol=args.tol_cmi, base=args.log_base
-                )
+                result = reconstruct_global(ms, tol=args.tol_reconstruction, precheck_tol=args.tol_cmi / per_bit)
         except DimensionGuardError as exc:
             print(f"error: {exc} (use --formula-only for big windows)", file=sys.stderr)
             return EXIT_GUARD
+        result.entropy *= per_bit
+        result.step_cmis = [(y, r * per_bit) for y, r in result.step_cmis]
+        _cmis_in_unit(result.precheck, per_bit)
         reports["marginal_fidelity"] = result.marginal_report
         extra["entropy"] = result.entropy
         extra["step_cmis"] = [{"shared_row": y, "residual": r} for y, r in result.step_cmis]
         if args.state_out:
-            with open(args.state_out, "w") as fh:
-                json.dump(result.to_dict(), fh)
+            write_json({**result.to_dict(), "log_base": args.log_base}, args.state_out)
         if not args.json:
             print(f"reconstruction entropy: {result.entropy:.9f}")
-            print(f"max-entropy formula:    {float(formula):.9f}")
+            print(f"max-entropy formula:    {formula:.9f}")
             print(
                 f"marginal fidelity: max residual "
                 f"{result.marginal_report.max_residual():.3e}, "
                 f"{'pass' if result.marginal_report.passed else 'FAIL'}"
             )
     elif not args.json:
-        print(f"max-entropy formula: {float(formula):.9f}")
+        print(f"max-entropy formula: {formula:.9f}")
     payload = _report_payload("reconstruct", args, reports, extra)
     _emit(args, payload)
     ok = all(rep.passed for rep in reports.values())
@@ -172,9 +196,10 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_entropy(args) -> int:
     ms = MarginalSet.load(args.file)
-    terms = max_entropy_terms(ms, base=args.log_base)
+    per_bit = _per_bit(args)
+    terms = [(a, t * per_bit) for a, t in max_entropy_terms(ms)]
     formula = sum(t for _, t in terms)
-    med_value = row_major_med(ms, ms.window, base=args.log_base)
+    med_value = row_major_med(ms, ms.window) * per_bit
     payload = _report_payload(
         "entropy",
         args,
@@ -225,15 +250,14 @@ def cmd_generate(args) -> int:
             print("error: no global state is defined for this kind", file=sys.stderr)
             return EXIT_INPUT_ERROR
         state = source.global_state()
-        with open(args.global_out, "w") as fh:
-            json.dump(
-                {
-                    "region": [[x, y] for x, y in state.region],
-                    "local_dim": state.local_dim,
-                    "matrix": matrix_to_json(state.matrix),
-                },
-                fh,
-            )
+        write_json(
+            {
+                "region": [[x, y] for x, y in state.region],
+                "local_dim": state.local_dim,
+                "matrix": matrix_to_json(state.matrix),
+            },
+            args.global_out,
+        )
     if not args.json:
         print(f"wrote {args.kind} marginals for a {args.width}x{args.height} window to {args.out}")
     return EXIT_OK
@@ -280,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-3, help="depolarization strength for kind=depolarized")
     p.add_argument("--anchor", type=int, nargs=2, default=None, help="anchor to depolarize")
     p.add_argument("--seed", type=int, default=0)
-    _add_run_options(p)
+    _add_run_options(p, "only suppress the banner; generate writes files and prints no report")
     p.set_defaults(func=cmd_generate)
 
     return parser

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from .lattice import (
 from .operator_core import (
     DensityOperator,
     StateError,
-    cmi,
     entropy,
     partial_trace,
     trace_distance,
@@ -203,6 +200,20 @@ def matrix_to_json(mat: np.ndarray) -> list:
     return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
+def write_json(obj: dict, path) -> None:
+    """Write ``json.dump``'s bytes, each top-level value or top-level list item encoded by the C encoder."""
+    with open(path, "w") as fh:
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if isinstance(value, list) and value:
+                for j, item in enumerate(value):
+                    fh.write(("[" if j == 0 else ", ") + json.dumps(item))
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value))
+        fh.write("}" if obj else "{}")
+
+
 def matrix_from_json(rows) -> np.ndarray:
     """Inverse of ``matrix_to_json``; ValueError unless ``rows`` is a grid of finite [re, im] pairs."""
     raw = np.asarray(rows, dtype=float)
@@ -216,10 +227,9 @@ def matrix_from_json(rows) -> np.ndarray:
 class MarginalSet:
     """The fundamental marginals of a window: one density operator per inside 3x3 cluster."""
 
-    def __init__(self, window: Window, local_dim: int, marginals: dict, log_base: float = 2.0):
+    def __init__(self, window: Window, local_dim: int, marginals: dict):
         self.window = window
         self.local_dim = int(local_dim)
-        self.log_base = float(log_base)
         self.marginals: dict[Vertex, DensityOperator] = {}
         expected = set(window.cluster_anchors())
         got = {as_vertex(a) for a in marginals}
@@ -238,19 +248,18 @@ class MarginalSet:
                 raise MarginalFileError(f"marginal at {a} has local_dim {op.local_dim}")
             self.marginals[a] = op
         self._derived_cache: dict[Region, DensityOperator] = {}
-        self._entropy_cache: dict[tuple, float] = {}
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_global(cls, state: DensityOperator, window: Window, log_base: float = 2.0) -> "MarginalSet":
+    def from_global(cls, state: DensityOperator, window: Window) -> "MarginalSet":
         if state.region != window.sites():
             raise GeometryError("state region does not cover the window")
         margs = {
             a: partial_trace(state, cluster_region(a, 3, 3))
             for a in window.cluster_anchors()
         }
-        return cls(window, state.local_dim, margs, log_base)
+        return cls(window, state.local_dim, margs)
 
     def anchors(self) -> tuple[Vertex, ...]:
         return tuple(sorted(self.marginals, key=canonical_key))
@@ -294,14 +303,10 @@ class MarginalSet:
         self._derived_cache[region] = out
         return out
 
-    def region_entropy(self, region, base: float = 2.0) -> float:
+    def region_entropy(self, region) -> float:
+        """Entropy in bits of the derived marginal; its spectrum is computed once per region."""
         region = as_region(region)
-        if not region:
-            return 0.0
-        key = (region, base)
-        if key not in self._entropy_cache:
-            self._entropy_cache[key] = entropy(self.derived_marginal(region), base=base)
-        return self._entropy_cache[key]
+        return entropy(self.derived_marginal(region)) if region else 0.0
 
     # -- serialization -------------------------------------------------------
 
@@ -310,7 +315,6 @@ class MarginalSet:
             "format_version": FORMAT_VERSION,
             "window": {"width": self.window.width, "height": self.window.height},
             "local_dim": self.local_dim,
-            "log_base": self.log_base,
             "marginals": [
                 {"anchor": [a[0], a[1]], "matrix": matrix_to_json(self.marginals[a].matrix)}
                 for a in self.anchors()
@@ -318,11 +322,11 @@ class MarginalSet:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+        write_json(self.to_dict(), path)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MarginalSet":
+        """Parse and validate a marginal file; the log-base entry of earlier versions' files is ignored."""
         try:
             version = data["format_version"]
         except (TypeError, KeyError):
@@ -332,7 +336,6 @@ class MarginalSet:
         try:
             window = Window(int(data["window"]["width"]), int(data["window"]["height"]))
             local_dim = int(data["local_dim"])
-            log_base = float(data.get("log_base", 2.0))
             entries = data["marginals"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MarginalFileError(f"malformed marginal file: {exc}") from exc
@@ -360,7 +363,7 @@ class MarginalSet:
             except StateError as exc:
                 raise MarginalFileError(f"marginal at {anchor} is not a valid state: {exc}") from exc
             margs[anchor] = op
-        return cls(window, local_dim, margs, log_base)
+        return cls(window, local_dim, margs)
 
     @classmethod
     def load(cls, path) -> "MarginalSet":
@@ -372,9 +375,8 @@ class MarginalSet:
         return cls.from_dict(data)
 
 
-def check_markov_conditions(ms: MarginalSet, tol: float = 1e-8, base: float | None = None) -> CheckReport:
-    """Evaluate all eight conditions on every inside cluster; residuals are CMI values."""
-    base = ms.log_base if base is None else base
+def check_markov_conditions(ms: MarginalSet, tol: float = 1e-8) -> CheckReport:
+    """Evaluate all eight conditions on every inside cluster; residuals are CMI values in bits."""
     report = CheckReport()
     for anchor in ms.anchors():
         marg = ms.marginals[anchor]
@@ -384,7 +386,7 @@ def check_markov_conditions(ms: MarginalSet, tol: float = 1e-8, base: float | No
             if not region:
                 return 0.0
             if region not in cache:
-                cache[region] = entropy(partial_trace(marg, region), base=base)
+                cache[region] = entropy(partial_trace(marg, region))
             return cache[region]
 
         for cond in c_m_conditions(anchor, ms.window):

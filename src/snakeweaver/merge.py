@@ -114,7 +114,7 @@ class MarkovCheck(NamedTuple):
 
 
 def is_markov_via_recovery(
-    op: DensityOperator, A, B, C, tol: float = 1e-8, base: float = 2.0
+    op: DensityOperator, A, B, C, tol: float = 1e-8
 ) -> MarkovCheck:
     """Petz test: does recovering from the AB marginal through B reproduce the state?
 
@@ -127,7 +127,7 @@ def is_markov_via_recovery(
     sub = partial_trace(op, abc)
     merged = right_merge(partial_trace(sub, region_union(A, B)), partial_trace(sub, region_union(B, C)))
     residual = trace_distance(sub, merged)
-    i_val = cmi(sub, A, B, C, base=base)
+    i_val = cmi(sub, A, B, C)
     if (residual <= tol) != (i_val <= max(tol, 1e-6)):
         logger.debug(
             "recovery residual %.3e and CMI %.3e straddle tolerance %g", residual, i_val, tol

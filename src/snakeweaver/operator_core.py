@@ -6,14 +6,15 @@ basis state is the base-d number whose leading digit belongs to the first site.
 ``_reorder_sites`` is the one place that turns sites into tensor axes; every
 partial trace, product, embedding and leg-local application (``apply_on_sites``)
 goes through it.  All operators are stored as complex128; helpers transparently
-drop to real arithmetic when the imaginary part is exactly zero.
+drop to real arithmetic when the imaginary part is exactly zero.  Entropies,
+conditional entropies and CMIs are in bits (log base 2) throughout the library.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -80,7 +81,6 @@ class DensityOperator:
     region: Region
     local_dim: int
     matrix: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         region = as_region(self.region)
@@ -97,13 +97,12 @@ class DensityOperator:
             mat = mat.astype(np.complex128)
         else:
             mat = np.ascontiguousarray(mat, dtype=np.complex128)
-        if self.validate:
-            herm = np.max(np.abs(mat - mat.conj().T)) if dim > 0 else 0.0
-            if herm > HERMITICITY_TOL:
-                raise StateError(f"matrix is not Hermitian: max deviation {herm:.3e}")
-            tr = mat.trace()
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise StateError(f"trace is {tr}, expected 1 within {TRACE_TOL:.0e}")
+        herm = np.max(np.abs(mat - mat.conj().T)) if dim > 0 else 0.0
+        if herm > HERMITICITY_TOL:
+            raise StateError(f"matrix is not Hermitian: max deviation {herm:.3e}")
+        tr = mat.trace()
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise StateError(f"trace is {tr}, expected 1 within {TRACE_TOL:.0e}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_eigvals_cache", None)
@@ -133,8 +132,8 @@ class DensityOperator:
         if lo < -tol:
             raise StateError(f"smallest eigenvalue {lo:.3e} is below -{tol:.0e}")
 
-    def region_entropy(self, region, base: float = 2.0) -> float:
-        return entropy(partial_trace(self, region), base=base)
+    def region_entropy(self, region) -> float:
+        return entropy(partial_trace(self, region))
 
 
 def _require_same_support(a: DensityOperator, b: DensityOperator) -> None:
@@ -227,31 +226,31 @@ def product_operator(ops: Iterable[DensityOperator]) -> DensityOperator:
     return DensityOperator(full, d, mat)
 
 
-def _entropy_from_eigs(w: np.ndarray, base: float) -> float:
+def _entropy_from_eigs(w: np.ndarray) -> float:
     top = float(w[-1]) if len(w) else 0.0
     cutoff = EIG_CLIP_REL * max(top, 0.0)
     p = w[w > cutoff]
     if p.size == 0:
         return 0.0
-    return float(-(p * np.log(p)).sum() / np.log(base))
+    return float(-(p * np.log(p)).sum() / np.log(2.0))
 
 
-def entropy(op: DensityOperator, base: float = 2.0) -> float:
-    """Von Neumann entropy in units of log ``base`` (base 2 by default)."""
-    return _entropy_from_eigs(op.eigenvalues(), base)
+def entropy(op: DensityOperator) -> float:
+    """Von Neumann entropy in bits."""
+    return _entropy_from_eigs(op.eigenvalues())
 
 
-def conditional_entropy(op: DensityOperator, A, B, base: float = 2.0) -> float:
-    """S(A|B) = S(AB) - S(B), computed on reductions of ``op``."""
+def conditional_entropy(op: DensityOperator, A, B) -> float:
+    """S(A|B) = S(AB) - S(B) in bits, computed on reductions of ``op``."""
     A, B = as_region(A), as_region(B)
     ab = region_union(A, B)
-    s_ab = entropy(partial_trace(op, ab), base)
-    s_b = entropy(partial_trace(op, B), base) if B else 0.0
+    s_ab = entropy(partial_trace(op, ab))
+    s_b = entropy(partial_trace(op, B)) if B else 0.0
     return s_ab - s_b
 
 
-def cmi(op: DensityOperator, A, B, C, base: float = 2.0) -> float:
-    """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC).
+def cmi(op: DensityOperator, A, B, C) -> float:
+    """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC), in bits.
 
     A and C must be nonempty; B may be empty, which gives the plain mutual
     information.  Symmetric in A and C term by term.
@@ -263,10 +262,10 @@ def cmi(op: DensityOperator, A, B, C, base: float = 2.0) -> float:
     if sa & sb or sa & sc or sb & sc:
         raise GeometryError("A, B, C must be pairwise disjoint")
     sub = partial_trace(op, region_union(A, B, C))
-    s_ab = entropy(partial_trace(sub, region_union(A, B)), base)
-    s_bc = entropy(partial_trace(sub, region_union(B, C)), base)
-    s_b = entropy(partial_trace(sub, B), base) if B else 0.0
-    s_abc = entropy(sub, base)
+    s_ab = entropy(partial_trace(sub, region_union(A, B)))
+    s_bc = entropy(partial_trace(sub, region_union(B, C)))
+    s_b = entropy(partial_trace(sub, B)) if B else 0.0
+    s_abc = entropy(sub)
     return s_ab + s_bc - s_b - s_abc
 
 
@@ -296,33 +295,27 @@ def pinv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (u * inv) @ u.conj().T
 
 
-def region_entropy_of(provider, region, base: float = 2.0):
-    region = as_region(region)
-    if not region:
-        return 0
-    return provider.region_entropy(region, base=base)
-
-
-def med(provider, path, base: float = 2.0):
-    """Markov entropy decomposition over a block path.
+def med(provider, path):
+    """Markov entropy decomposition over a block path, in bits.
 
     Adds S(block_k | N(block_k) & V_{k-1}) per block, where the conditioning set
     is the intersection of the block's graph neighborhood with everything seen
     so far; the first block contributes its plain entropy.  ``provider`` may be
     a global DensityOperator, a MarginalSet, a generator source, or a
-    stabilizer state; it only ever gets asked for bounded regions around each
-    block.  Upper-bounds the entropy of any state with these marginals.
+    stabilizer state; it only ever gets asked, through ``region_entropy``, for
+    bounded nonempty regions around each block.  Upper-bounds the entropy of
+    any state with these marginals.
     """
     blocks = validate_block_path(path)
     total = 0
     seen: set = set()
     for k, block in enumerate(blocks):
         if k == 0:
-            total = total + region_entropy_of(provider, block, base)
+            total = total + provider.region_entropy(block)
         else:
             cond = tuple(v for v in region_neighborhood(block) if v in seen)
-            s_joint = region_entropy_of(provider, region_union(block, cond), base)
-            s_cond = region_entropy_of(provider, cond, base) if cond else 0
+            s_joint = provider.region_entropy(region_union(block, cond))
+            s_cond = provider.region_entropy(cond) if cond else 0
             total = total + (s_joint - s_cond)
         seen.update(block)
     return total

@@ -7,10 +7,9 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .lattice import GeometryError, Region, Vertex, as_region, as_vertex, cluster_region
 from .marginal_store import MarginalSet, Window
@@ -20,10 +19,8 @@ from .operator_core import (
     apply_on_sites,
     check_dim_guard,
     embed_operator,
-    entropy,
     partial_trace,
     product_operator,
-    trace_distance,
     _entropy_from_eigs,
     _eigh,
 )
@@ -258,14 +255,14 @@ class RowMarkovSource:
         mat = _conjugate_sites(mat, region, self.site_unitaries, self.local_dim)
         return DensityOperator(region, self.local_dim, mat)
 
-    def region_entropy(self, region, base: float = 2.0) -> float:
-        """Exact entropy from the classical distribution; unitaries do not change it."""
+    def region_entropy(self, region) -> float:
+        """Exact entropy in bits from the classical distribution; unitaries do not change it."""
         region = as_region(region)
         if not region:
             return 0.0
         p = self.probability_tensor(region).reshape(-1)
         p = p[p > 1e-300]
-        return float(-(p * np.log(p)).sum() / np.log(base))
+        return float(-(p * np.log(p)).sum() / np.log(2.0))
 
     def marginal_set(self) -> MarginalSet:
         margs = {a: self.marginal(cluster_region(a, 3, 3)) for a in self.window.cluster_anchors()}
@@ -310,11 +307,11 @@ class ProductSource:
         d = self.local_dim
         return product_operator([DensityOperator((v,), d, self.site_states[v]) for v in as_region(region)])
 
-    def region_entropy(self, region, base: float = 2.0) -> float:
+    def region_entropy(self, region) -> float:
         total = 0.0
         for v in as_region(region):
             w = np.linalg.eigvalsh(self.site_states[v])
-            total += _entropy_from_eigs(w, base)
+            total += _entropy_from_eigs(w)
         return total
 
     def marginal_set(self) -> MarginalSet:
@@ -353,7 +350,7 @@ def depolarize_marginal(ms: MarginalSet, anchor, eps: float) -> MarginalSet:
     op = margs[anchor]
     mixed = (1.0 - eps) * op.matrix + eps * np.eye(op.dim) / op.dim
     margs[anchor] = DensityOperator(op.region, op.local_dim, mixed)
-    return MarginalSet(ms.window, ms.local_dim, margs, ms.log_base)
+    return MarginalSet(ms.window, ms.local_dim, margs)
 
 
 # -- stabilizer states over GF(2) ---------------------------------------------
@@ -419,7 +416,7 @@ class StabilizerState:
     def k(self) -> int:
         return self.generators.shape[0]
 
-    def region_entropy(self, region, base: float = 2.0):
+    def region_entropy(self, region) -> int:
         """|A| - dim of the subgroup supported inside A; an exact integer in bits."""
         region = as_region(region)
         if not region:
@@ -432,10 +429,7 @@ class StabilizerState:
         outside = [i for i in range(self.n) if i not in set(inside)]
         cols = outside + [self.n + i for i in outside]
         rank_out = gf2_rank(self.generators[:, cols]) if cols else 0
-        bits = len(region) - (self.k - rank_out)
-        if base == 2.0 or base == 2:
-            return bits
-        return bits * np.log(2.0) / np.log(base)
+        return len(region) - (self.k - rank_out)
 
     def to_dense(self) -> DensityOperator:
         check_dim_guard(2 ** self.n, 2 ** 10)
@@ -459,10 +453,6 @@ class StabilizerState:
     @classmethod
     def from_dict(cls, data: dict) -> "StabilizerState":
         return cls(as_region([tuple(v) for v in data["sites"]]), np.asarray(data["generators"]))
-
-
-def stabilizer_entropy(state: StabilizerState, region, base: float = 2.0):
-    return state.region_entropy(region, base)
 
 
 def repetition_rows(window: Window) -> StabilizerState:
@@ -599,11 +589,10 @@ def brute_force_maxent(
     *,
     local_dim: int = 2,
     tol: float = 1e-9,
-    base: float = 2.0,
     max_iter: int = 100_000,
     strict: bool = True,
 ) -> MaxEntSolution:
-    """Maximize von Neumann entropy subject to marginal constraints.
+    """Maximize von Neumann entropy subject to marginal constraints; the value is in bits.
 
     Works on the dual of the exponential family rho(lambda) = exp(sum of
     embedded lambda_r) / Z, which is smooth and convex, so the quasi-Newton
@@ -611,6 +600,8 @@ def brute_force_maxent(
     mutually consistent and full-rank.  This is an oracle: clarity and a
     certifiable residual beat speed.
     """
+    from scipy.optimize import minimize
+
     global_region = as_region(global_region)
     dim = local_dim ** len(global_region)
     check_dim_guard(dim, 2 ** 12)
@@ -646,7 +637,7 @@ def brute_force_maxent(
 
     def objective(x):
         val, _, rho = gibbs(x)
-        state = DensityOperator(global_region, local_dim, rho, validate=False)
+        state = DensityOperator(global_region, local_dim, rho)
         grads = []
         for (region, target), piece, d_r in zip(cons, split(x), sizes):
             lam = _herm_from_vec(piece, d_r)
@@ -695,5 +686,5 @@ def brute_force_maxent(
         raise MaxEntConvergenceError(residual, iterations)
     if residual > tol:
         warnings.warn(f"max-entropy residual {residual:.3e} exceeds tol {tol:.0e}")
-    value = _entropy_from_eigs(np.sort(p), base)
+    value = _entropy_from_eigs(np.sort(p))
     return MaxEntSolution(value, state, residual, iterations)

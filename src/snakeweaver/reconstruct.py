@@ -37,7 +37,6 @@ from .operator_core import (
     entropy,
     med,
     partial_trace,
-    region_entropy_of,
     trace_distance,
 )
 from .snakes import SnakeSpec, build_snake
@@ -48,16 +47,14 @@ logger = logging.getLogger("snakeweaver.reconstruct")
 @dataclass
 class ReconstructionResult:
     state: DensityOperator
-    entropy: float
-    base: float
-    step_cmis: list = field(default_factory=list)   # (shared_row_y, residual) per vertical merge
+    entropy: float                                  # bits
+    step_cmis: list = field(default_factory=list)   # (shared_row_y, residual in bits) per vertical merge
     marginal_report: CheckReport = field(default_factory=CheckReport)
     precheck: CheckReport = field(default_factory=CheckReport)
 
     def to_dict(self) -> dict:
         return {
             "entropy": self.entropy,
-            "log_base": self.base,
             "step_cmis": [{"shared_row": y, "residual": r} for y, r in self.step_cmis],
             "marginal_report": self.marginal_report.to_dict(),
             "precheck": self.precheck.to_dict(),
@@ -75,16 +72,14 @@ def reconstruct_global(
     *,
     tol: float = 1e-6,
     precheck_tol: float = 1e-8,
-    base: float | None = None,
 ) -> ReconstructionResult:
     """Stack level-2 snakes bottom to top by right-merges sharing one row each.
 
     The result is consistent with every fundamental marginal whenever the
     inputs pass the consistency and Markov checks; the per-step conditional
-    mutual informations across each shared row are recorded, as is the fidelity
-    against every stored marginal.
+    mutual informations across each shared row are recorded in bits, as is the
+    fidelity against every stored marginal.
     """
-    base = ms.log_base if base is None else base
     window = ms.window
     if window.width < 3 or window.height < 2:
         raise GeometryError("reconstruction needs a window of at least 3x2")
@@ -108,7 +103,7 @@ def reconstruct_global(
         strip = build_snake(ms, SnakeSpec(2, (0, y), (window.width - 1, y)))
         state = right_merge(state, strip)
         below = region_union(*[_row_region(window, yy) for yy in range(y)])
-        residual = cmi(state, below, _row_region(window, y), _row_region(window, y + 1), base=base)
+        residual = cmi(state, below, _row_region(window, y), _row_region(window, y + 1))
         step_cmis.append((y, float(residual)))
 
     marginal_report = CheckReport()
@@ -124,8 +119,7 @@ def reconstruct_global(
         )
     return ReconstructionResult(
         state=state,
-        entropy=entropy(state, base=base),
-        base=base,
+        entropy=entropy(state),
         step_cmis=step_cmis,
         marginal_report=marginal_report,
         precheck=precheck,
@@ -145,7 +139,6 @@ def vertical_markov_check(ms: MarginalSet, tol: float = 1e-8) -> CheckReport:
             _row_region(window, y),
             _row_region(window, y + 1),
             _row_region(window, y + 2),
-            base=ms.log_base,
         )
         report.add(
             f"vertical-cmi:rows{y}-{y + 2}",
@@ -157,8 +150,8 @@ def vertical_markov_check(ms: MarginalSet, tol: float = 1e-8) -> CheckReport:
     return report
 
 
-def max_entropy_terms(provider, window: Window | None = None, base: float = 2.0) -> list:
-    """Per-anchor summands S(2x2) - S(2x1) - S(1x2) + S(1x1), clusters clipped to the window.
+def max_entropy_terms(provider, window: Window | None = None) -> list:
+    """Per-anchor summands S(2x2) - S(2x1) - S(1x2) + S(1x1) in bits, clusters clipped to the window.
 
     Sites outside the window are fixed pure product states, so a clipped
     cluster contributes the entropy of its inside part and fully outside
@@ -176,26 +169,26 @@ def max_entropy_terms(provider, window: Window | None = None, base: float = 2.0)
             for n, m, sign in ((2, 2, 1), (2, 1, -1), (1, 2, -1), (1, 1, 1)):
                 clipped = as_region([s for s in cluster_region((vx, vy), n, m) if s in inside])
                 if clipped:
-                    total = total + sign * region_entropy_of(provider, clipped, base)
+                    total = total + sign * provider.region_entropy(clipped)
             terms.append(((vx, vy), total))
     return terms
 
 
-def max_entropy_formula(provider, window: Window | None = None, base: float = 2.0):
-    """The maximum entropy consistent with the fundamental marginals, in closed form.
+def max_entropy_formula(provider, window: Window | None = None):
+    """The maximum entropy in bits consistent with the fundamental marginals, in closed form.
 
     Exact integer arithmetic survives end to end when the provider returns
     integers (the stabilizer oracle does).
     """
     total = 0
-    for _, term in max_entropy_terms(provider, window, base):
+    for _, term in max_entropy_terms(provider, window):
         total = total + term
     return total
 
 
-def row_major_med(provider, window: Window, base: float = 2.0):
-    """MED over the row-major site path; each site is conditioned on its west and south neighbors."""
-    return med(provider, site_path(window.sites()), base=base)
+def row_major_med(provider, window: Window):
+    """MED in bits over the row-major site path; each site is conditioned on its west and south neighbors."""
+    return med(provider, site_path(window.sites()))
 
 
 def uniqueness_certificate(
@@ -203,7 +196,6 @@ def uniqueness_certificate(
     sigma: DensityOperator,
     path,
     tol: float = 1e-7,
-    base: float = 2.0,
 ) -> CheckReport:
     """Numerically certify the max-entropy uniqueness argument for two states.
 
@@ -211,7 +203,8 @@ def uniqueness_certificate(
     along the path, and each has entropy equal to its decomposition.  When they
     hold, the average state's decomposition caps the Jensen gap, which in turn
     bounds the trace distance through (1/8)||rho - sigma||_1^2 <= gap (in
-    nats); the certificate then asserts distance <= sqrt(8 gap) + tol.  On
+    nats: the gap in bits times ln 2); the certificate then asserts
+    distance <= sqrt(8 gap) + tol.  Entropies are compared in bits.  On
     hypothesis failure the distance claim is omitted.
     """
     if rho.region != sigma.region or rho.local_dim != sigma.local_dim:
@@ -232,9 +225,9 @@ def uniqueness_certificate(
         )
         seen.update(block)
 
-    s_rho, s_sigma = entropy(rho, base), entropy(sigma, base)
-    m_rho = med(rho, blocks, base=base)
-    m_sigma = med(sigma, blocks, base=base)
+    s_rho, s_sigma = entropy(rho), entropy(sigma)
+    m_rho = med(rho, blocks)
+    m_sigma = med(sigma, blocks)
     report.add("med-equality:rho", "med_equality", abs(s_rho - m_rho), tol)
     report.add("med-equality:sigma", "med_equality", abs(s_sigma - m_sigma), tol)
 
@@ -243,9 +236,7 @@ def uniqueness_certificate(
         tau = DensityOperator(
             rho.region, rho.local_dim, 0.5 * (rho.matrix + sigma.matrix)
         )
-        gap_nats = med(tau, blocks, base=math.e) - 0.5 * (
-            entropy(rho, math.e) + entropy(sigma, math.e)
-        )
+        gap_nats = math.log(2.0) * (med(tau, blocks) - 0.5 * (s_rho + s_sigma))
         gap_nats = max(float(gap_nats), 0.0)
         bound = math.sqrt(8.0 * gap_nats) + tol
         actual = trace_distance(rho, sigma)

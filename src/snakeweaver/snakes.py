@@ -32,7 +32,6 @@ from .operator_core import (
     DensityOperator,
     DimensionGuardError,
     cmi,
-    entropy,
     med,
     partial_trace,
     trace_distance,
@@ -204,7 +203,7 @@ def verify_is_snake(ms: MarginalSet, spec: SnakeSpec, tol: float = 1e-8) -> Chec
         report.add(
             f"snake-overlap-cmi:{pair_id}",
             "cmi",
-            cmi(derived_union, a_only, overlap, c_only, base=ms.log_base),
+            cmi(derived_union, a_only, overlap, c_only),
             tol,
             A=_region_json(a_only),
             B=_region_json(overlap),
@@ -255,10 +254,9 @@ def split_check(ms: MarginalSet, level: int, v, u, t, tol: float = 1e-7) -> Chec
     return report
 
 
-def snake_entropy_med(ms: MarginalSet, spec: SnakeSpec, base: float | None = None) -> float:
-    """Markov entropy decomposition over the column path of the snake's support."""
-    base = ms.log_base if base is None else base
-    return med(ms, column_blocks(spec.support()), base=base)
+def snake_entropy_med(ms: MarginalSet, spec: SnakeSpec) -> float:
+    """Markov entropy decomposition over the column path of the snake's support, in bits."""
+    return med(ms, column_blocks(spec.support()))
 
 
 def level_drop_check(ms: MarginalSet, v, u, tol: float = 1e-7) -> CheckReport:

@@ -372,7 +372,7 @@ def test_criterion_9_invariant_suite():
     for _ in range(200):
         a, b = random_state(sites3, rng), random_state(sites3, rng)
         mix = DensityOperator(sites3, 2, 0.5 * (a.matrix + b.matrix))
-        gap = entropy(mix, math.e) - 0.5 * (entropy(a, math.e) + entropy(b, math.e))
+        gap = math.log(2) * (entropy(mix) - 0.5 * (entropy(a) + entropy(b)))
         jensen_worst = max(jensen_worst, (2 * trace_distance(a, b)) ** 2 / 8 - gap)
 
     box = as_region([(x, y) for x in range(2) for y in range(2)])

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: generation, checks, reconstruction, reports, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -141,6 +142,69 @@ def test_entropy_nats(row_file, capsys):
     assert run("entropy", str(row_file), "--json") == 0
     bits = json.loads(capsys.readouterr().out)["max_entropy_formula"]
     assert nats == pytest.approx(bits * np.log(2.0), abs=1e-9)
+
+
+def _json_run(capsys, *argv):
+    assert run(*argv, "--json") == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+def test_nats_reports_are_the_bits_reports_times_ln2(command, row_file, tmp_path, capsys):
+    ln2 = math.log(2.0)
+    bits_state, nats_state = tmp_path / "bits.json", tmp_path / "nats.json"
+
+    def state_out(path):
+        return ("--state-out", str(path)) if command == "reconstruct" else ()
+
+    bits = _json_run(capsys, command, str(row_file), "--tol-cmi", "1e-8", *state_out(bits_state))
+    nats = _json_run(capsys, command, str(row_file), "--log-base", "e", "--tol-cmi", repr(1e-8 * ln2),
+                     *state_out(nats_state))
+    assert nats["config"]["log_base"] == "e"
+    for name, report in bits["checks"].items():
+        other = nats["checks"][name]
+        assert other["passed"] == report["passed"]
+        assert len(other["records"]) == len(report["records"])
+        for b, n in zip(report["records"], other["records"]):
+            scale = ln2 if b["kind"] == "cmi" else 1.0
+            assert (n["check_id"], n["passed"]) == (b["check_id"], b["passed"])
+            assert n["residual"] == pytest.approx(b["residual"] * scale, rel=1e-12, abs=0)
+            assert n["tol"] == pytest.approx(b["tol"] * scale, rel=1e-12, abs=0)
+    if command == "check":
+        assert len(nats["checks"]["markov"]["records"]) == 8
+        return
+    for key in ("entropy", "max_entropy_formula"):
+        assert nats[key] == pytest.approx(bits[key] * ln2, rel=1e-12, abs=0)
+    assert len(nats["step_cmis"]) == len(bits["step_cmis"]) == 1
+    for b, n in zip(bits["step_cmis"], nats["step_cmis"]):
+        assert n["shared_row"] == b["shared_row"]
+        assert n["residual"] == pytest.approx(b["residual"] * ln2, rel=1e-12, abs=0)
+    bits_file, nats_file = json.loads(bits_state.read_text()), json.loads(nats_state.read_text())
+    assert (bits_file["log_base"], nats_file["log_base"]) == (2.0, math.e)
+    assert nats_file["entropy"] == nats["entropy"]
+    assert nats_file["step_cmis"] == nats["step_cmis"]
+    assert len(nats_file["precheck"]["records"]) == len(bits_file["precheck"]["records"])
+    for b, n in zip(bits_file["precheck"]["records"], nats_file["precheck"]["records"]):
+        scale = ln2 if b["kind"] == "cmi" else 1.0
+        assert n["residual"] == pytest.approx(b["residual"] * scale, rel=1e-12, abs=0)
+
+
+def test_a_stored_log_base_is_ignored(row_file, tmp_path, capsys):
+    data = json.loads(row_file.read_text())
+    assert "log_base" not in data
+    data["log_base"] = 2.718281828459045
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(data))
+    assert run("check", str(legacy), "--json") == 0
+    with_key = capsys.readouterr().out
+    assert run("check", str(row_file), "--json") == 0
+    assert capsys.readouterr().out == with_key
+
+
+def test_generate_json_prints_nothing(tmp_path, capsys):
+    assert run("generate", "--kind", "product", "--width", "3", "--height", "3",
+               "--out", str(tmp_path / "p.json"), "--json") == 0
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

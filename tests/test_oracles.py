@@ -32,7 +32,6 @@ from snakeweaver.oracles import (
     gf2_rank,
     random_state,
     repetition_rows,
-    stabilizer_entropy,
     tripartite_regions,
 )
 from snakeweaver.reconstruct import max_entropy_formula
@@ -116,13 +115,13 @@ def test_stabilizer_validation():
 
 def test_stabilizer_entropy_examples():
     st = repetition_rows(Window(4, 2))
-    assert stabilizer_entropy(st, st.sites) == 2          # one bit per row
-    assert stabilizer_entropy(st, [(0, 0)]) == 1
-    assert stabilizer_entropy(st, [(0, 0), (1, 0)]) == 1  # same-row pair stays one bit
-    assert stabilizer_entropy(st, [(0, 0), (0, 1)]) == 2  # rows are independent
+    assert st.region_entropy(st.sites) == 2          # one bit per row
+    assert st.region_entropy([(0, 0)]) == 1
+    assert st.region_entropy([(0, 0), (1, 0)]) == 1  # same-row pair stays one bit
+    assert st.region_entropy([(0, 0), (0, 1)]) == 2  # rows are independent
     pure = ghz_stabilizer([(i, 0) for i in range(4)])
-    assert stabilizer_entropy(pure, pure.sites) == 0
-    assert stabilizer_entropy(pure, pure.sites[:2]) == 1
+    assert pure.region_entropy(pure.sites) == 0
+    assert pure.region_entropy(pure.sites[:2]) == 1
 
 
 def test_stabilizer_against_dense_on_all_regions():
