@@ -26,8 +26,7 @@ from .marginal_store import (
     Window,
     check_local_consistency,
     check_markov_conditions,
-    matrix_to_json,
-    write_json,
+    save_state,
 )
 from .operator_core import DimensionGuardError, StateError
 from .oracles import depolarize_marginal, gen_product, gen_row_markov, ghz_row_source
@@ -39,6 +38,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_GUARD = 3
 
 SCHEMA_VERSION = 1
+
+_STATE_FILE = "uncompressed .npz container with members format_version, local_dim, region (n,2) and matrix"
 
 
 def _parse_log_base(text: str) -> float:
@@ -166,18 +167,17 @@ def cmd_reconstruct(args) -> int:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                result = reconstruct_global(ms, tol=args.tol_reconstruction, precheck_tol=args.tol_cmi / per_bit)
+                result = reconstruct_global(ms, tol=args.tol_reconstruction)
         except DimensionGuardError as exc:
             print(f"error: {exc} (use --formula-only for big windows)", file=sys.stderr)
             return EXIT_GUARD
         result.entropy *= per_bit
         result.step_cmis = [(y, r * per_bit) for y, r in result.step_cmis]
-        _cmis_in_unit(result.precheck, per_bit)
         reports["marginal_fidelity"] = result.marginal_report
         extra["entropy"] = result.entropy
         extra["step_cmis"] = [{"shared_row": y, "residual": r} for y, r in result.step_cmis]
         if args.state_out:
-            write_json({**result.to_dict(), "log_base": args.log_base}, args.state_out)
+            save_state(result.state, args.state_out)
         if not args.json:
             print(f"reconstruction entropy: {result.entropy:.9f}")
             print(f"max-entropy formula:    {formula:.9f}")
@@ -237,6 +237,8 @@ def cmd_generate(args) -> int:
         elif args.kind == "depolarized":
             source = gen_row_markov(window, seed=args.seed, unitaries=args.unitaries)
             ms = source.marginal_set()
+            if args.anchor is None and not ms.marginals:
+                raise GeometryError(f"a {args.width}x{args.height} window has no 3x3 cluster to depolarize")
             anchor = ms.anchors()[0] if args.anchor is None else tuple(args.anchor)
             ms = depolarize_marginal(ms, anchor, args.eps)
         else:  # pragma: no cover - argparse restricts choices
@@ -249,15 +251,7 @@ def cmd_generate(args) -> int:
         if source is None:
             print("error: no global state is defined for this kind", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        state = source.global_state()
-        write_json(
-            {
-                "region": [[x, y] for x, y in state.region],
-                "local_dim": state.local_dim,
-                "matrix": matrix_to_json(state.matrix),
-            },
-            args.global_out,
-        )
+        save_state(source.global_state(), args.global_out)
     if not args.json:
         print(f"wrote {args.kind} marginals for a {args.width}x{args.height} window to {args.out}")
     return EXIT_OK
@@ -284,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="rebuild the global state and compare entropies")
     p.add_argument("--force", action="store_true", help="reconstruct even when checks fail")
     p.add_argument("--formula-only", action="store_true", help="skip the dense state, print only the formula")
-    p.add_argument("--state-out", metavar="PATH", help="dump the reconstructed state as JSON")
+    p.add_argument("--state-out", metavar="PATH", help="write the reconstructed state as an " + _STATE_FILE)
     p.add_argument("--tol-reconstruction", type=float, default=1e-6)
     _add_tolerances(p)
     _add_report_options(p)
@@ -298,10 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["product", "row-markov", "column-markov", "ghz-row", "depolarized"])
     p.add_argument("--width", type=int, default=4)
     p.add_argument("--height", type=int, default=4)
-    p.add_argument("--out", required=True)
-    p.add_argument("--global-out", metavar="PATH", help="also dump the global state (guarded)")
+    p.add_argument(
+        "--out",
+        required=True,
+        help="marginal file to write, an uncompressed .npz container with members format_version, window, "
+        "local_dim, anchors (k,2) and matrices (k,D,D) complex128",
+    )
+    p.add_argument("--global-out", metavar="PATH", help="also write the global state (guarded) as an " + _STATE_FILE)
     p.add_argument("--unitaries", choices=["haar", "real", "none"], default="haar")
-    p.add_argument("--eps", type=float, default=1e-3, help="depolarization strength for kind=depolarized")
+    p.add_argument("--eps", type=float, default=1e-3, help="depolarization strength in [0, 1] for kind=depolarized")
     p.add_argument("--anchor", type=int, nargs=2, default=None, help="anchor to depolarize")
     p.add_argument("--seed", type=int, default=0)
     _add_run_options(p, "only suppress the banner; generate writes files and prints no report")

@@ -1,8 +1,16 @@
-"""Fundamental 3x3-cluster marginals over a finite window: storage, checks, derived marginals, file format."""
+"""Fundamental 3x3-cluster marginals over a finite window: storage, checks, derived marginals, file format.
+
+Every matrix file is one uncompressed ``.npz`` container, read with
+``allow_pickle=False``.  A marginal file (``MarginalSet.save``) holds the
+int64 members ``format_version`` (2), ``window`` (width, height), ``local_dim``
+and ``anchors`` (k, 2) in canonical order, and ``matrices`` (k, D, D)
+complex128 with D = local_dim ** 9.  A state file (``save_state``) holds
+``format_version``, ``local_dim``, ``region`` (n, 2) and ``matrix``.  Readers
+ignore members they do not know.
+"""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +35,7 @@ from .operator_core import (
     trace_distance,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # The four base conditions on a 3x3 cluster, in cluster-local coordinates
 # (x, y) with (0, 0) the bottom-left site.  Triples are (A, B, C) asserting
@@ -194,34 +202,49 @@ def _region_json(region: Region) -> list:
     return [[x, y] for x, y in region]
 
 
-def matrix_to_json(mat: np.ndarray) -> list:
-    """Rows of [re, im] pairs: how every snakeweaver JSON file stores a matrix."""
-    mat = np.asarray(mat, dtype=complex)
-    return np.stack([mat.real, mat.imag], axis=-1).tolist()
+def _write_container(path, **members) -> None:
+    """Write ``members`` and the format version as an uncompressed .npz container at exactly ``path``."""
+    with open(path, "wb") as fh:  # np.savez would append ".npz" to a bare path
+        np.savez(fh, format_version=FORMAT_VERSION, **members)
 
 
-def write_json(obj: dict, path) -> None:
-    """Write ``json.dump``'s bytes, each top-level value or top-level list item encoded by the C encoder."""
-    with open(path, "w") as fh:
-        for i, (key, value) in enumerate(obj.items()):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            if isinstance(value, list) and value:
-                for j, item in enumerate(value):
-                    fh.write(("[" if j == 0 else ", ") + json.dumps(item))
-                fh.write("]")
-            else:
-                fh.write(json.dumps(value))
-        fh.write("}" if obj else "{}")
+def save_state(state: DensityOperator, path) -> None:
+    """Write a global or reconstructed state: ``local_dim``, ``region`` (n, 2) and ``matrix``."""
+    _write_container(path, local_dim=state.local_dim, region=np.array(state.region), matrix=state.matrix)
 
 
-def matrix_from_json(rows) -> np.ndarray:
-    """Inverse of ``matrix_to_json``; ValueError unless ``rows`` is a grid of finite [re, im] pairs."""
-    raw = np.asarray(rows, dtype=float)
-    if raw.ndim != 3 or raw.shape[2] != 2:
-        raise ValueError(f"expected rows of [re, im] pairs, got an array of shape {raw.shape}")
-    if not np.isfinite(raw).all():
-        raise ValueError("matrix has a non-finite entry")
-    return raw[..., 0] + 1j * raw[..., 1]
+def _read_members(path, names) -> dict:
+    """The members in ``names`` that the container at ``path`` holds; any read failure is a MarginalFileError."""
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":
+                raise ValueError(
+                    "not an .npz container; JSON marginal files of format 1 are no longer read, "
+                    "regenerate the file with `snakeweaver generate`"
+                )
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as npz:
+                return {name: npz[name] for name in names if name in npz.files}
+    # zipfile and numpy report a damaged container through many unrelated exception types,
+    # some with multi-line messages
+    except Exception as exc:
+        raise MarginalFileError(f"cannot read {path}: {' '.join(str(exc).split())}") from exc
+
+
+def _member(members: dict, name: str, dtype, shape: tuple) -> np.ndarray:
+    """Member ``name`` after checking its dtype and its shape; None in ``shape`` matches any length."""
+    arr = members.get(name)
+    if arr is None:
+        raise MarginalFileError(f"missing member {name!r}")
+    if (
+        not np.issubdtype(arr.dtype, dtype)
+        or arr.ndim != len(shape)
+        or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+    ):
+        raise MarginalFileError(
+            f"member {name!r} is {arr.dtype} of shape {arr.shape}, expected {dtype.__name__} of shape {shape}"
+        )
+    return arr
 
 
 class MarginalSet:
@@ -310,51 +333,39 @@ class MarginalSet:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "window": {"width": self.window.width, "height": self.window.height},
-            "local_dim": self.local_dim,
-            "marginals": [
-                {"anchor": [a[0], a[1]], "matrix": matrix_to_json(self.marginals[a].matrix)}
-                for a in self.anchors()
-            ],
-        }
-
     def save(self, path) -> None:
-        write_json(self.to_dict(), path)
+        anchors = self.anchors()
+        dim = self.local_dim ** 9
+        _write_container(
+            path,
+            window=np.array([self.window.width, self.window.height]),
+            local_dim=self.local_dim,
+            anchors=np.array(anchors, dtype=np.int64).reshape(-1, 2),
+            matrices=np.array([self.marginals[a].matrix for a in anchors], dtype=np.complex128).reshape(-1, dim, dim),
+        )
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MarginalSet":
-        """Parse and validate a marginal file; the log-base entry of earlier versions' files is ignored."""
-        try:
-            version = data["format_version"]
-        except (TypeError, KeyError):
-            raise MarginalFileError("missing format_version")
+    def load(cls, path) -> "MarginalSet":
+        """Read and validate a marginal file; every failure raises MarginalFileError."""
+        members = _read_members(path, ("format_version", "window", "local_dim", "anchors", "matrices"))
+        version = int(_member(members, "format_version", np.integer, ()))
         if version != FORMAT_VERSION:
-            raise MarginalFileError(f"unknown format_version {version!r}")
-        try:
-            window = Window(int(data["window"]["width"]), int(data["window"]["height"]))
-            local_dim = int(data["local_dim"])
-            entries = data["marginals"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MarginalFileError(f"malformed marginal file: {exc}") from exc
+            raise MarginalFileError(f"unknown format_version {version}")
+        width, height = _member(members, "window", np.integer, (2,)).tolist()
+        local_dim = int(_member(members, "local_dim", np.integer, ()))
         if local_dim < 2:
             raise MarginalFileError(f"local_dim must be >= 2, got {local_dim}")
-        if not isinstance(entries, list):
-            raise MarginalFileError(f"marginals must be a list, got {type(entries).__name__}")
+        try:
+            window = Window(width, height)
+        except GeometryError as exc:
+            raise MarginalFileError(f"malformed marginal file: {exc}") from exc
+        anchors = _member(members, "anchors", np.integer, (None, 2)).tolist()
         dim = local_dim ** 9
+        matrices = _member(members, "matrices", np.complex128, (len(anchors), dim, dim))
+        if not np.isfinite(matrices).all():
+            raise MarginalFileError("a marginal matrix has a non-finite entry")
         margs = {}
-        for entry in entries:
-            try:
-                anchor = as_vertex(entry["anchor"])
-                mat = matrix_from_json(entry["matrix"])
-            except (KeyError, TypeError, ValueError, GeometryError) as exc:
-                raise MarginalFileError(f"malformed marginal entry: {exc}") from exc
-            if mat.shape != (dim, dim):
-                raise MarginalFileError(
-                    f"marginal at {anchor} has matrix shape {mat.shape}, expected {(dim, dim)}"
-                )
+        for anchor, mat in zip(map(tuple, anchors), matrices):
             if anchor in margs:
                 raise MarginalFileError(f"duplicate marginal anchor {anchor}")
             try:
@@ -364,15 +375,6 @@ class MarginalSet:
                 raise MarginalFileError(f"marginal at {anchor} is not a valid state: {exc}") from exc
             margs[anchor] = op
         return cls(window, local_dim, margs)
-
-    @classmethod
-    def load(cls, path) -> "MarginalSet":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise MarginalFileError(f"cannot read marginal file: {exc}") from exc
-        return cls.from_dict(data)
 
 
 def check_markov_conditions(ms: MarginalSet, tol: float = 1e-8) -> CheckReport:

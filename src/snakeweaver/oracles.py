@@ -346,6 +346,10 @@ def ghz_row_source(window: Window, row: int | None = None, local_dim: int = 2):
 def depolarize_marginal(ms: MarginalSet, anchor, eps: float) -> MarginalSet:
     """Replace one stored marginal by (1-eps) rho + eps I/D, breaking consistency locally."""
     anchor = as_vertex(anchor)
+    if anchor not in ms.marginals:
+        raise GeometryError(f"{anchor} is not a cluster anchor of the window; its anchors are {list(ms.anchors())}")
+    if not 0 <= eps <= 1:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
     margs = dict(ms.marginals)
     op = margs[anchor]
     mixed = (1.0 - eps) * op.matrix + eps * np.eye(op.dim) / op.dim
@@ -531,13 +535,7 @@ def gen_qmc_triple(
         al = random_density_matrix(dA * l, rng).reshape(dA, l, dA, l)
         rc = random_density_matrix(r * dC, rng).reshape(r, dC, r, dC)
         t = np.einsum("aubv,xcyd->auxcbvyd", al, rc)  # (a, bl, br, c, a', bl', br', c')
-        for bl in range(l):
-            for br in range(r):
-                for bl2 in range(l):
-                    for br2 in range(r):
-                        big[:, off + bl * r + br, :, :, off + bl2 * r + br2, :] += (
-                            w * t[:, bl, br, :, :, bl2, br2, :]
-                        )
+        big[:, off:off + l * r, :, :, off:off + l * r, :] += w * t.reshape(dA, l * r, dC, dA, l * r, dC)
         off += l * r
     dim = dA * dB * dC
     mat = big.reshape(dim, dim)

@@ -27,7 +27,6 @@ from .marginal_store import (
     _region_json,
     check_local_consistency,
     check_markov_conditions,
-    matrix_to_json,
 )
 from .merge import right_merge
 from .operator_core import (
@@ -52,33 +51,19 @@ class ReconstructionResult:
     marginal_report: CheckReport = field(default_factory=CheckReport)
     precheck: CheckReport = field(default_factory=CheckReport)
 
-    def to_dict(self) -> dict:
-        return {
-            "entropy": self.entropy,
-            "step_cmis": [{"shared_row": y, "residual": r} for y, r in self.step_cmis],
-            "marginal_report": self.marginal_report.to_dict(),
-            "precheck": self.precheck.to_dict(),
-            "region": _region_json(self.state.region),
-            "matrix": matrix_to_json(self.state.matrix),
-        }
-
 
 def _row_region(window: Window, y: int) -> Region:
     return as_region([(x, y) for x in range(window.width)])
 
 
-def reconstruct_global(
-    ms: MarginalSet,
-    *,
-    tol: float = 1e-6,
-    precheck_tol: float = 1e-8,
-) -> ReconstructionResult:
+def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionResult:
     """Stack level-2 snakes bottom to top by right-merges sharing one row each.
 
     The result is consistent with every fundamental marginal whenever the
     inputs pass the consistency and Markov checks; the per-step conditional
     mutual informations across each shared row are recorded in bits, as is the
-    fidelity against every stored marginal.
+    fidelity against every stored marginal.  The precheck runs both checks at
+    their 1e-8 defaults and only warns when they fail.
     """
     window = ms.window
     if window.width < 3 or window.height < 2:
@@ -86,8 +71,8 @@ def reconstruct_global(
     check_dim_guard(ms.local_dim ** (window.width * window.height))
 
     precheck = CheckReport()
-    precheck.extend(check_local_consistency(ms, tol=precheck_tol))
-    precheck.extend(check_markov_conditions(ms, tol=precheck_tol))
+    precheck.extend(check_local_consistency(ms))
+    precheck.extend(check_markov_conditions(ms))
     if not precheck.passed:
         warnings.warn(
             f"marginals fail their preconditions "

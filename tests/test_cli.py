@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from snakeweaver.cli import main
-from snakeweaver.marginal_store import MarginalSet, Window, matrix_from_json
+from snakeweaver.marginal_store import MarginalSet, Window
 from snakeweaver.oracles import gen_row_markov
 from snakeweaver.reconstruct import reconstruct_global
 
@@ -71,18 +71,32 @@ def test_depolarized_kind_fails_consistency(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def _members(path) -> dict:
+    with np.load(path) as npz:
+        return dict(npz)
+
+
 def test_malformed_and_truncated_files_exit_2(tmp_path, row_file):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"nope": 1}')
-    assert run("check", str(bad)) == 2
-    trunc = tmp_path / "trunc.json"
-    trunc.write_text(row_file.read_text()[:500])
-    assert run("check", str(trunc)) == 2
-    data = json.loads(row_file.read_text())
-    data["marginals"][0]["matrix"][0][0] = [float("nan"), 0.0]
-    nan = tmp_path / "nan.json"
-    nan.write_text(json.dumps(data))
+    good = row_file.read_bytes()
+    for name, data in (("bad", b'{"nope": 1}'), ("empty", b""), ("head", good[:500]), ("tail", good[:-1])):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run("check", str(path)) == 2, name
+    members = _members(row_file)
+    members["matrices"][0, 0, 0] = np.nan
+    nan = tmp_path / "nan.npz"
+    np.savez(nan, **members)
     assert run("check", str(nan)) == 2
+
+
+def test_format_1_json_file_exits_2_with_one_error_line(tmp_path, capsys):
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({"format_version": 1, "window": {"width": 3, "height": 3}, "local_dim": 2,
+                                  "marginals": []}))
+    assert run("check", str(legacy)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "snakeweaver generate" in err
 
 
 def test_round_trip_is_bit_exact(row_file, tmp_path):
@@ -100,11 +114,14 @@ def test_global_and_state_files_hold_the_exact_matrices(tmp_path):
                "--out", str(marginals), "--global-out", str(global_out)) == 0
     assert run("reconstruct", str(marginals), "--state-out", str(state_out)) == 0
     source = gen_row_markov(Window(3, 3), seed=4)
-    written = json.loads(global_out.read_text())
-    assert np.array_equal(matrix_from_json(written["matrix"]), source.global_state().matrix)
     result = reconstruct_global(MarginalSet.load(marginals))
-    written = json.loads(state_out.read_text())
-    assert np.array_equal(matrix_from_json(written["matrix"]), result.state.matrix)
+    for path, state in ((global_out, source.global_state()), (state_out, result.state)):
+        written = _members(path)
+        assert sorted(written) == ["format_version", "local_dim", "matrix", "region"]
+        assert (int(written["format_version"]), int(written["local_dim"])) == (2, 2)
+        assert written["region"].tolist() == [list(v) for v in state.region]
+        assert written["matrix"].dtype == np.complex128
+        assert written["matrix"].tobytes() == state.matrix.tobytes()  # bit-exact, signed zeros included
 
 
 def test_reconstruct_small_window(row_file, capsys):
@@ -150,16 +167,10 @@ def _json_run(capsys, *argv):
 
 
 @pytest.mark.parametrize("command", ["check", "reconstruct"])
-def test_nats_reports_are_the_bits_reports_times_ln2(command, row_file, tmp_path, capsys):
+def test_nats_reports_are_the_bits_reports_times_ln2(command, row_file, capsys):
     ln2 = math.log(2.0)
-    bits_state, nats_state = tmp_path / "bits.json", tmp_path / "nats.json"
-
-    def state_out(path):
-        return ("--state-out", str(path)) if command == "reconstruct" else ()
-
-    bits = _json_run(capsys, command, str(row_file), "--tol-cmi", "1e-8", *state_out(bits_state))
-    nats = _json_run(capsys, command, str(row_file), "--log-base", "e", "--tol-cmi", repr(1e-8 * ln2),
-                     *state_out(nats_state))
+    bits = _json_run(capsys, command, str(row_file), "--tol-cmi", "1e-8")
+    nats = _json_run(capsys, command, str(row_file), "--log-base", "e", "--tol-cmi", repr(1e-8 * ln2))
     assert nats["config"]["log_base"] == "e"
     for name, report in bits["checks"].items():
         other = nats["checks"][name]
@@ -179,26 +190,17 @@ def test_nats_reports_are_the_bits_reports_times_ln2(command, row_file, tmp_path
     for b, n in zip(bits["step_cmis"], nats["step_cmis"]):
         assert n["shared_row"] == b["shared_row"]
         assert n["residual"] == pytest.approx(b["residual"] * ln2, rel=1e-12, abs=0)
-    bits_file, nats_file = json.loads(bits_state.read_text()), json.loads(nats_state.read_text())
-    assert (bits_file["log_base"], nats_file["log_base"]) == (2.0, math.e)
-    assert nats_file["entropy"] == nats["entropy"]
-    assert nats_file["step_cmis"] == nats["step_cmis"]
-    assert len(nats_file["precheck"]["records"]) == len(bits_file["precheck"]["records"])
-    for b, n in zip(bits_file["precheck"]["records"], nats_file["precheck"]["records"]):
-        scale = ln2 if b["kind"] == "cmi" else 1.0
-        assert n["residual"] == pytest.approx(b["residual"] * scale, rel=1e-12, abs=0)
 
 
-def test_a_stored_log_base_is_ignored(row_file, tmp_path, capsys):
-    data = json.loads(row_file.read_text())
-    assert "log_base" not in data
-    data["log_base"] = 2.718281828459045
-    legacy = tmp_path / "legacy.json"
-    legacy.write_text(json.dumps(data))
-    assert run("check", str(legacy), "--json") == 0
-    with_key = capsys.readouterr().out
+def test_an_extra_member_is_ignored(row_file, tmp_path, capsys):
+    members = _members(row_file)
+    assert "log_base" not in members
+    extra = tmp_path / "extra.npz"
+    np.savez(extra, **members, log_base=np.float64(math.e))
+    assert run("check", str(extra), "--json") == 0
+    with_extra = capsys.readouterr().out
     assert run("check", str(row_file), "--json") == 0
-    assert capsys.readouterr().out == with_key
+    assert capsys.readouterr().out == with_extra
 
 
 def test_generate_json_prints_nothing(tmp_path, capsys):
@@ -221,3 +223,29 @@ def test_flags_a_command_does_not_read_are_rejected(argv, row_file, tmp_path, ca
 def test_generate_rejects_bad_params(tmp_path):
     assert run("generate", "--kind", "row-markov", "--width", "0", "--height", "3",
                "--out", str(tmp_path / "x.json")) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--width", "4", "--height", "3", "--anchor", "0", "0"),  # a site, not a cluster anchor
+        ("--width", "3", "--height", "3", "--anchor", "3", "0"),  # a cluster outside the window
+        ("--width", "2", "--height", "3"),  # no cluster at all
+        ("--width", "3", "--height", "3", "--eps", "2"),
+        ("--width", "3", "--height", "3", "--eps", "-0.5"),
+    ],
+)
+def test_generate_depolarized_rejects_bad_input(argv, tmp_path, capsys):
+    out = tmp_path / "x.npz"
+    assert run("generate", "--kind", "depolarized", *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["0", "1"])
+def test_generate_depolarized_accepts_the_ends_of_eps(eps, tmp_path):
+    out = tmp_path / "x.npz"
+    assert run("generate", "--kind", "depolarized", "--width", "3", "--height", "3", "--eps", eps,
+               "--out", str(out)) == 0
+    assert run("check", str(out)) == 0

@@ -1,7 +1,5 @@
 """Marginal sets: condition tables, consistency/Markov checks, derived marginals, file format."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,7 @@ from snakeweaver.marginal_store import (
     check_local_consistency,
     check_markov_conditions,
 )
-from snakeweaver.operator_core import partial_trace, trace_distance
+from snakeweaver.operator_core import DensityOperator, partial_trace, trace_distance
 from snakeweaver.oracles import (
     depolarize_marginal,
     gen_product,
@@ -157,45 +155,70 @@ def test_derived_marginal_missing():
 
 
 def test_file_round_trip_is_bit_exact(tmp_path):
-    ms = gen_row_markov(Window(3, 3), seed=8).marginal_set()
+    ms = gen_row_markov(Window(4, 3), seed=8, unitaries="none").marginal_set()
+    margs = {}
+    for a, op in ms.marginals.items():
+        mat = op.matrix.copy()
+        mat.imag[...] = -0.0  # signed zeros survive only a bit-exact format
+        margs[a] = DensityOperator(op.region, op.local_dim, mat)
+    ms = MarginalSet(ms.window, ms.local_dim, margs)
     path = tmp_path / "m.json"
     ms.save(path)
+    assert path.exists()  # written at exactly this path, with no suffix added
     back = MarginalSet.load(path)
     assert back.window == ms.window
     assert back.local_dim == ms.local_dim
+    assert back.anchors() == ms.anchors()
     for a in ms.anchors():
-        assert np.array_equal(back.marginals[a].matrix, ms.marginals[a].matrix)
+        assert np.signbit(back.marginals[a].matrix.imag).all()
+        assert back.marginals[a].matrix.tobytes() == ms.marginals[a].matrix.tobytes()
 
 
 def test_file_parser_rejections(tmp_path):
     ms = gen_row_markov(Window(3, 3), seed=9).marginal_set()
-    good = ms.to_dict()
+    good = tmp_path / "good.npz"
+    ms.save(good)
+    with np.load(good) as npz:
+        members = dict(npz)
 
     def reject(mutate):
-        data = json.loads(json.dumps(good))
+        data = {name: arr.copy() for name, arr in members.items()}
         mutate(data)
+        path = tmp_path / "bad.npz"
+        np.savez(path, **data)
         with pytest.raises(MarginalFileError):
-            MarginalSet.from_dict(data)
+            MarginalSet.load(path)
 
-    reject(lambda d: d.__setitem__("format_version", 2))
+    reject(lambda d: d.__setitem__("format_version", np.int64(1)))
     reject(lambda d: d.pop("format_version"))
-    reject(lambda d: d["marginals"][0]["matrix"].pop())  # dimension mismatch
-    reject(lambda d: d["marginals"].pop())  # missing anchor
-    reject(lambda d: d["marginals"][0].__setitem__("anchor", [0, 0]))  # outside anchor set
-    reject(lambda d: d.__setitem__("local_dim", 1))
+    reject(lambda d: d.__setitem__("matrices", d["matrices"][:, :-1]))  # dimension mismatch
+    reject(lambda d: d.update(anchors=d["anchors"][:0], matrices=d["matrices"][:0]))  # missing anchor
+    reject(lambda d: d.__setitem__("anchors", np.array([[0, 0]])))  # outside anchor set
+    reject(lambda d: d.update(anchors=d["anchors"].repeat(2, axis=0), matrices=d["matrices"].repeat(2, axis=0)))
+    reject(lambda d: d.__setitem__("local_dim", np.int64(1)))
+    reject(lambda d: d.__setitem__("window", np.array([3, 3, 3])))
+    reject(lambda d: d.__setitem__("matrices", d["matrices"].astype(np.complex64)))
 
     def unnormalize(d):
-        d["marginals"][0]["matrix"][0][0] = [5.0, 0.0]
+        d["matrices"][0, 0, 0] = 5.0
 
     def nan_entry(d):
-        d["marginals"][0]["matrix"][3][3] = [float("nan"), 0.0]
+        d["matrices"][0, 3, 3] = np.nan
+
+    def unhermitian(d):
+        d["matrices"][0, 0, 1] += 1e-3
+
+    def negative(d):
+        d["matrices"][0] = np.diag([1.1, -0.1] + [0.0] * 510)
 
     reject(unnormalize)
     reject(nan_entry)
-    reject(lambda d: d.__setitem__("marginals", 5))
+    reject(unhermitian)
+    reject(negative)
+    reject(lambda d: d.__setitem__("matrices", np.int64(5)))
 
-    path = tmp_path / "trunc.json"
-    path.write_text(json.dumps(good)[:200])
+    path = tmp_path / "trunc.npz"
+    path.write_bytes(good.read_bytes()[:200])
     with pytest.raises(MarginalFileError):
         MarginalSet.load(path)
 
