@@ -11,6 +11,8 @@ from .lattice import GeometryError, Region, as_region
 from .marginal_store import CmCondition
 from .operator_core import DensityOperator, cmi
 
+MAX_STATEMENTS = 200_000  # a closure past this size is a runaway search, not a result
+
 
 @dataclass(frozen=True)
 class CIStatement:
@@ -39,13 +41,6 @@ class CIStatement:
 
     def sort_key(self):
         return (self.A, self.B, self.C)
-
-    def to_dict(self) -> dict:
-        return {
-            "A": [list(v) for v in self.A],
-            "B": [list(v) for v in self.B],
-            "C": [list(v) for v in self.C],
-        }
 
     @classmethod
     def from_condition(cls, cond: CmCondition) -> "CIStatement":
@@ -106,18 +101,10 @@ class DerivationStep:
     inputs: tuple
     output: CIStatement
 
-    def to_dict(self) -> dict:
-        return {
-            "move": self.move,
-            "inputs": [s.to_dict() for s in self.inputs],
-            "output": self.output.to_dict(),
-        }
-
 
 def derivation_closure(
     axioms: Iterable[CIStatement],
     max_depth: int = 8,
-    max_statements: int = 200_000,
     stop_at: CIStatement | None = None,
 ) -> dict[CIStatement, DerivationStep]:
     """Breadth-first closure under both moves; maps each statement to the step producing it.
@@ -157,17 +144,14 @@ def derivation_closure(
         known.update(fresh)
         if done or not fresh:
             break
-        if len(known) > max_statements:
-            raise RuntimeError(f"derivation closure exceeded {max_statements} statements")
+        if len(known) > MAX_STATEMENTS:
+            raise RuntimeError(f"derivation closure exceeded {MAX_STATEMENTS} statements")
         frontier = sorted(fresh, key=CIStatement.sort_key)
     return known
 
 
 def derive(
-    axioms: Iterable[CIStatement],
-    target: CIStatement,
-    max_depth: int = 8,
-    max_statements: int = 200_000,
+    axioms: Iterable[CIStatement], target: CIStatement, max_depth: int = 8
 ) -> list[DerivationStep] | None:
     """Search for the target; returns the move-by-move trace, or None when unreachable.
 
@@ -176,7 +160,7 @@ def derive(
     itself an axiom yields an empty list.
     """
     axioms = list(axioms)
-    known = derivation_closure(axioms, max_depth, max_statements, stop_at=target)
+    known = derivation_closure(axioms, max_depth, stop_at=target)
     if target not in known:
         return None
     if known[target].move == "axiom":
@@ -195,7 +179,3 @@ def derive(
 
     walk(target)
     return [step for step in ordered if step.move != "axiom"]
-
-
-def trace_to_json(trace: list[DerivationStep]) -> list:
-    return [step.to_dict() for step in trace]

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 from .lattice import GeometryError
 from .marginal_store import (
@@ -64,10 +63,24 @@ def _cmis_in_unit(report: CheckReport, per_bit: float) -> CheckReport:
     return report
 
 
+def _parse_threads(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count from --threads or SNAKEWEAVER_THREADS must be a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _add_run_options(parser: argparse.ArgumentParser, json_help: str) -> None:
     """Options of every command."""
     parser.add_argument("--json", action="store_true", help=json_help)
-    parser.add_argument("--threads", type=int, default=None, help="BLAS thread cap (SNAKEWEAVER_THREADS)")
+    # argparse passes a string default through ``type`` too, so both sources get one check
+    parser.add_argument(
+        "--threads",
+        type=_parse_threads,
+        default=os.environ.get("SNAKEWEAVER_THREADS") or None,
+        help="BLAS thread cap, a positive integer (default: SNAKEWEAVER_THREADS)",
+    )
 
 
 def _add_report_options(parser: argparse.ArgumentParser) -> None:
@@ -88,15 +101,11 @@ def _add_tolerances(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_threads(args) -> None:
-    n = args.threads
-    if n is None:
-        env = os.environ.get("SNAKEWEAVER_THREADS")
-        n = int(env) if env else None
-    if n:
+    if args.threads is not None:
         try:
             from threadpoolctl import threadpool_limits
 
-            threadpool_limits(limits=n)
+            threadpool_limits(limits=args.threads)
         except Exception as exc:  # pragma: no cover - environment specific
             print(f"warning: could not cap threads: {exc}", file=sys.stderr)
 
@@ -165,9 +174,7 @@ def cmd_reconstruct(args) -> int:
     reports = {"consistency": consistency, "markov": markov}
     if not args.formula_only:
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = reconstruct_global(ms, tol=args.tol_reconstruction)
+            result = reconstruct_global(ms, tol=args.tol_reconstruction)
         except DimensionGuardError as exc:
             print(f"error: {exc} (use --formula-only for big windows)", file=sys.stderr)
             return EXIT_GUARD
@@ -237,8 +244,6 @@ def cmd_generate(args) -> int:
         elif args.kind == "depolarized":
             source = gen_row_markov(window, seed=args.seed, unitaries=args.unitaries)
             ms = source.marginal_set()
-            if args.anchor is None and not ms.marginals:
-                raise GeometryError(f"a {args.width}x{args.height} window has no 3x3 cluster to depolarize")
             anchor = ms.anchors()[0] if args.anchor is None else tuple(args.anchor)
             ms = depolarize_marginal(ms, anchor, args.eps)
         else:  # pragma: no cover - argparse restricts choices
@@ -290,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit marginal files from the built-in oracles")
     p.add_argument("--kind", required=True, choices=["product", "row-markov", "column-markov", "ghz-row", "depolarized"])
-    p.add_argument("--width", type=int, default=4)
-    p.add_argument("--height", type=int, default=4)
+    p.add_argument("--width", type=int, default=4, help="window width, at least 3: a window needs a 3x3 cluster")
+    p.add_argument("--height", type=int, default=4, help="window height, at least 3: a window needs a 3x3 cluster")
     p.add_argument(
         "--out",
         required=True,

@@ -1,5 +1,7 @@
 """Fundamental 3x3-cluster marginals over a finite window: storage, checks, derived marginals, file format.
 
+A marginal set needs at least one 3x3 cluster, so its window is at least 3x3.
+
 Every matrix file is one uncompressed ``.npz`` container, read with
 ``allow_pickle=False``.  A marginal file (``MarginalSet.save``) holds the
 int64 members ``format_version`` (2), ``window`` (width, height), ``local_dim``
@@ -164,10 +166,6 @@ class CheckReport:
         self.records.append(rec)
         return rec
 
-    def extend(self, other: "CheckReport") -> "CheckReport":
-        self.records.extend(other.records)
-        return self
-
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
@@ -255,6 +253,10 @@ class MarginalSet:
         self.local_dim = int(local_dim)
         self.marginals: dict[Vertex, DensityOperator] = {}
         expected = set(window.cluster_anchors())
+        if not expected:
+            raise MarginalFileError(
+                f"a {window.width}x{window.height} window has no 3x3 cluster; it must be at least 3x3"
+            )
         got = {as_vertex(a) for a in marginals}
         if got != expected:
             missing = sorted(expected - got, key=canonical_key)

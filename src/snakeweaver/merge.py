@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -142,7 +141,6 @@ def merging_lemma_combine(
     C,
     *,
     tol: float = 1e-8,
-    strict: bool = True,
 ) -> DensityOperator:
     """Combine rho on A+B+C with sigma on B+C+D into tau on A+B+C+D.
 
@@ -150,8 +148,7 @@ def merging_lemma_combine(
     I(B:D|C) vanishes for sigma (within ``tol``).  Then tau = rho <| sigma_CD
     is consistent with both inputs and satisfies I(A:CD|B) = I(AB:D|C) = 0;
     equality with sigma_BCD <| rho_AB is a theorem, not an assumption, and is
-    exercised in the tests.  With ``strict=False`` hypothesis violations warn
-    instead of raising.
+    exercised in the tests.  A violated hypothesis raises MergePreconditionError.
     """
     B, C = as_region(B), as_region(C)
     bc = region_union(B, C)
@@ -164,19 +161,14 @@ def merging_lemma_combine(
     if not A or not D:
         raise GeometryError("each operand must contribute at least one site outside the overlap")
 
-    def _complain(msg: str) -> None:
-        if strict:
-            raise MergePreconditionError(msg)
-        warnings.warn(msg, stacklevel=3)
-
     overlap_dist = trace_distance(partial_trace(rho, bc), partial_trace(sigma, bc))
     if overlap_dist > tol:
-        _complain(f"operands disagree on the overlap: trace distance {overlap_dist:.3e}")
+        raise MergePreconditionError(f"operands disagree on the overlap: trace distance {overlap_dist:.3e}")
     i_rho = cmi(rho, A, B, C)
     if i_rho > tol:
-        _complain(f"I(A:C|B) = {i_rho:.3e} on the left operand exceeds {tol:.0e}")
+        raise MergePreconditionError(f"I(A:C|B) = {i_rho:.3e} on the left operand exceeds {tol:.0e}")
     i_sigma = cmi(sigma, B, C, D)
     if i_sigma > tol:
-        _complain(f"I(B:D|C) = {i_sigma:.3e} on the right operand exceeds {tol:.0e}")
+        raise MergePreconditionError(f"I(B:D|C) = {i_sigma:.3e} on the right operand exceeds {tol:.0e}")
 
     return right_merge(rho, partial_trace(sigma, region_union(C, D)))

@@ -33,6 +33,7 @@ logger = logging.getLogger("snakeweaver.operator_core")
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
+SPECTRUM_TOL = 1e-10       # stored states may dip this far below zero from rounding
 EIG_CLIP_REL = 1e-10       # relative support cutoff: 1e-10 * largest eigenvalue
 NEG_EIG_ABORT = 1e-8       # eigenvalues below -1e-8 signal a logic bug, not rounding
 DENSE_DIM_GUARD = 2 ** 14  # refuse to materialize anything bigger
@@ -108,10 +109,6 @@ class DensityOperator:
         object.__setattr__(self, "_eigvals_cache", None)
 
     @property
-    def n_sites(self) -> int:
-        return len(self.region)
-
-    @property
     def dim(self) -> int:
         return self.local_dim ** len(self.region)
 
@@ -124,13 +121,10 @@ class DensityOperator:
             object.__setattr__(self, "_eigvals_cache", _eigvalsh(self.matrix))
         return self._eigvals_cache
 
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[0])
-
-    def validate_spectrum(self, tol: float = 1e-10) -> None:
-        lo = self.min_eigenvalue()
-        if lo < -tol:
-            raise StateError(f"smallest eigenvalue {lo:.3e} is below -{tol:.0e}")
+    def validate_spectrum(self) -> None:
+        lo = float(self.eigenvalues()[0])
+        if lo < -SPECTRUM_TOL:
+            raise StateError(f"smallest eigenvalue {lo:.3e} is below -{SPECTRUM_TOL:.0e}")
 
     def region_entropy(self, region) -> float:
         return entropy(partial_trace(self, region))

@@ -5,7 +5,6 @@ maximum-entropy solver used as the second route against the closed-form value.""
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,18 +49,17 @@ def random_orthogonal(dim: int, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def random_density_matrix(dim: int, rng, rank: int | None = None) -> np.ndarray:
-    """Full-rank (by default) Wishart state G G^dag / tr."""
+def random_density_matrix(dim: int, rng) -> np.ndarray:
+    """Full-rank Wishart state G G^dag / tr."""
     rng = _rng(rng)
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return m / m.trace()
 
 
-def random_state(region, rng, local_dim: int = 2, rank: int | None = None) -> DensityOperator:
+def random_state(region, rng, local_dim: int = 2) -> DensityOperator:
     region = as_region(region)
-    return DensityOperator(region, local_dim, random_density_matrix(local_dim ** len(region), rng, rank))
+    return DensityOperator(region, local_dim, random_density_matrix(local_dim ** len(region), rng))
 
 
 def basis_state(region, digits: Sequence[int], local_dim: int = 2) -> DensityOperator:
@@ -327,19 +325,16 @@ def gen_product(window: Window, site_states: dict | None = None, seed=0, local_d
     return ProductSource(window, site_states, seed, local_dim)
 
 
-def ghz_row_source(window: Window, row: int | None = None, local_dim: int = 2):
-    """Global state with a coherent GHZ across one row (the top one by default).
+def ghz_row_source(window: Window):
+    """Qubit global state with a coherent GHZ across the top row and |0> on every other site.
 
     Returns (marginal_set, global_state).  With width 3 the full GHZ row sits
     inside every cluster, so the Markov checks must fail.
     """
-    row = window.height - 1 if row is None else row
+    row = window.height - 1
     row_sites = as_region([(x, row) for x in range(window.width)])
     rest = as_region([v for v in window.sites() if v[1] != row])
-    parts = [ghz_state(row_sites, local_dim)]
-    if rest:
-        parts.append(basis_state(rest, [0] * len(rest), local_dim))
-    state = product_operator(parts)
+    state = product_operator([ghz_state(row_sites), basis_state(rest, [0] * len(rest))])
     return MarginalSet.from_global(state, window), state
 
 
@@ -447,16 +442,6 @@ class StabilizerState:
                     g_rho = apply_on_sites(_PAULI[(xb, zb)], g_rho, [i], 2)
             rho = (rho + g_rho) / 2.0
         return DensityOperator(self.sites, 2, rho / rho.trace())
-
-    def to_dict(self) -> dict:
-        return {
-            "sites": [[x, y] for x, y in self.sites],
-            "generators": self.generators.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StabilizerState":
-        return cls(as_region([tuple(v) for v in data["sites"]]), np.asarray(data["generators"]))
 
 
 def repetition_rows(window: Window) -> StabilizerState:
@@ -588,7 +573,6 @@ def brute_force_maxent(
     local_dim: int = 2,
     tol: float = 1e-9,
     max_iter: int = 100_000,
-    strict: bool = True,
 ) -> MaxEntSolution:
     """Maximize von Neumann entropy subject to marginal constraints; the value is in bits.
 
@@ -680,9 +664,7 @@ def brute_force_maxent(
         state, p, residual = solve_state(x)
         if residual >= prev * 0.99:
             break
-    if residual > tol and strict:
-        raise MaxEntConvergenceError(residual, iterations)
     if residual > tol:
-        warnings.warn(f"max-entropy residual {residual:.3e} exceeds tol {tol:.0e}")
+        raise MaxEntConvergenceError(residual, iterations)
     value = _entropy_from_eigs(np.sort(p))
     return MaxEntSolution(value, state, residual, iterations)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +24,6 @@ from .marginal_store import (
     MarginalSet,
     Window,
     _region_json,
-    check_local_consistency,
-    check_markov_conditions,
 )
 from .merge import right_merge
 from .operator_core import (
@@ -49,7 +46,6 @@ class ReconstructionResult:
     entropy: float                                  # bits
     step_cmis: list = field(default_factory=list)   # (shared_row_y, residual in bits) per vertical merge
     marginal_report: CheckReport = field(default_factory=CheckReport)
-    precheck: CheckReport = field(default_factory=CheckReport)
 
 
 def _row_region(window: Window, y: int) -> Region:
@@ -60,26 +56,15 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     """Stack level-2 snakes bottom to top by right-merges sharing one row each.
 
     The result is consistent with every fundamental marginal whenever the
-    inputs pass the consistency and Markov checks; the per-step conditional
-    mutual informations across each shared row are recorded in bits, as is the
-    fidelity against every stored marginal.  The precheck runs both checks at
-    their 1e-8 defaults and only warns when they fail.
+    inputs pass the consistency and Markov checks.  Callers run those checks
+    (the CLI does, at the user's tolerances); this function does not repeat
+    them, and ``marginal_report``, the fidelity against every stored marginal,
+    is what shows that a reconstruction does not reproduce its inputs.  The
+    per-step conditional mutual informations across each shared row are
+    recorded in bits.
     """
     window = ms.window
-    if window.width < 3 or window.height < 2:
-        raise GeometryError("reconstruction needs a window of at least 3x2")
     check_dim_guard(ms.local_dim ** (window.width * window.height))
-
-    precheck = CheckReport()
-    precheck.extend(check_local_consistency(ms))
-    precheck.extend(check_markov_conditions(ms))
-    if not precheck.passed:
-        warnings.warn(
-            f"marginals fail their preconditions "
-            f"(max residual {precheck.max_residual():.3e}); reconstruction proceeds "
-            f"but need not reproduce the inputs",
-            stacklevel=2,
-        )
 
     v, u = (0, 0), (window.width - 1, 0)
     state = build_snake(ms, SnakeSpec(2, v, u))
@@ -107,7 +92,6 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
         entropy=entropy(state),
         step_cmis=step_cmis,
         marginal_report=marginal_report,
-        precheck=precheck,
     )
 
 

@@ -82,25 +82,6 @@ class SnakeSpec:
             ]
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "v": list(self.v),
-            "u": list(self.u),
-            "variant": self.variant,
-            "order": self.order,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SnakeSpec":
-        return cls(
-            int(data["level"]),
-            tuple(data["v"]),
-            tuple(data["u"]),
-            data.get("variant", "plain"),
-            data.get("order", "forward"),
-        )
-
 
 def plain_factor_regions(level: int, v, u, order: str = "forward") -> list[Region]:
     """The 2 x level factor clusters stepping right from v to u (or left when reversed)."""

@@ -9,7 +9,6 @@ from snakeweaver.ci_calculus import (
     mono_children,
     rev_mono,
     statement_residual,
-    trace_to_json,
 )
 from snakeweaver.lattice import GeometryError
 from snakeweaver.marginal_store import Window, c_m_conditions
@@ -95,15 +94,17 @@ def test_derive_deterministic():
     axioms = cluster_axioms((2, 0)) + cluster_axioms((1, -1))
     t1 = derive(axioms, SNAKE_TARGET, max_depth=6)
     t2 = derive(axioms, SNAKE_TARGET, max_depth=6)
-    assert trace_to_json(t1) == trace_to_json(t2)
+    assert t1 == t2
 
 
 def test_trace_json_shape():
     axioms = cluster_axioms((2, 0)) + cluster_axioms((1, -1))
-    trace = trace_to_json(derive(axioms, SNAKE_TARGET, max_depth=6))
+    trace = derive(axioms, SNAKE_TARGET, max_depth=6)
     for step in trace:
-        assert set(step) == {"move", "inputs", "output"}
-        assert step["move"] in ("mono", "revmono")
+        assert step.move in ("mono", "revmono")
+        assert len(step.inputs) == (1 if step.move == "mono" else 2)
+        assert all(isinstance(s, CIStatement) for s in step.inputs)
+        assert isinstance(step.output, CIStatement)
 
 
 def test_derived_statements_hold_numerically():

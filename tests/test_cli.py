@@ -249,3 +249,47 @@ def test_generate_depolarized_accepts_the_ends_of_eps(eps, tmp_path):
     assert run("generate", "--kind", "depolarized", "--width", "3", "--height", "3", "--eps", eps,
                "--out", str(out)) == 0
     assert run("check", str(out)) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--kind", "row-markov", "--width", "2", "--height", "3"),
+        ("generate", "--kind", "row-markov", "--width", "3", "--height", "2"),
+        ("generate", "--kind", "product", "--width", "2", "--height", "3"),
+        ("generate", "--kind", "ghz-row", "--width", "3", "--height", "2"),
+        ("check",),
+        ("entropy",),
+        ("reconstruct",),
+    ],
+)
+def test_a_window_without_a_cluster_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "x.npz"
+    if argv[0] == "generate":
+        argv = (*argv, "--out", str(path))
+    else:
+        np.savez(path, format_version=2, window=np.array([2, 3]), local_dim=2,
+                 anchors=np.zeros((0, 2), dtype=np.int64), matrices=np.zeros((0, 512, 512), dtype=np.complex128))
+        argv = (*argv, str(path))
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no 3x3 cluster" in err
+    assert path.exists() == (argv[0] != "generate")
+
+
+@pytest.mark.parametrize("source", ["--threads", "SNAKEWEAVER_THREADS"])
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_thread_counts_exit_2(source, value, row_file, monkeypatch, capsys):
+    monkeypatch.delenv("SNAKEWEAVER_THREADS", raising=False)
+    argv = ["check", str(row_file)]
+    if source == "--threads":
+        argv += ["--threads", value]
+    else:
+        monkeypatch.setenv("SNAKEWEAVER_THREADS", value)
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert repr(value) in err and "SNAKEWEAVER_THREADS" in err
+    assert "Traceback" not in err

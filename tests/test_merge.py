@@ -1,7 +1,5 @@
 """Right-merge, recovery checks, and the merging-lemma combiner."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -206,7 +204,3 @@ def test_merging_lemma_precondition_enforcement():
     sigma = partial_trace(chain_state(13), S[1:])
     with pytest.raises(MergePreconditionError):
         merging_lemma_combine(rho, sigma, [S[1]], [S[2]], tol=1e-8)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        merging_lemma_combine(rho, sigma, [S[1]], [S[2]], tol=1e-8, strict=False)
-    assert caught

@@ -139,13 +139,6 @@ def test_stabilizer_against_dense_on_all_regions():
                 assert abs(exact - approx) < 1e-9
 
 
-def test_stabilizer_serialization_round_trip():
-    st = repetition_rows(Window(3, 2))
-    back = StabilizerState.from_dict(st.to_dict())
-    assert back.sites == st.sites
-    assert np.array_equal(back.generators, st.generators)
-
-
 def test_qmc_triple_single_blocks_factorize():
     a, b, c = tripartite_regions(2, 2, 2)
     left = gen_qmc_triple(2, 2, 2, [(1, 2)], seed=1)   # bL = 1: rho_A (x) rho_BC

@@ -43,8 +43,6 @@ def test_spec_validation():
         SnakeSpec(2, (0, 0), (3, 0), variant="flat_up", order="reversed")
     with pytest.raises(GeometryError):
         SnakeSpec(4, (0, 0), (3, 0))
-    spec = SnakeSpec(2, V, U)
-    assert SnakeSpec.from_dict(spec.to_dict()) == spec
 
 
 def test_plain_factor_regions():

@@ -1,0 +1,50 @@
+"""The benchmark's traced launcher runs CLI commands, and each check runs once per command.
+
+``perfbench/tracer.py`` resolves every name it traces when it starts, so a
+rename or deletion of a traced function fails here as well as in the benchmark.
+"""
+
+import collections
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from snakeweaver.marginal_store import Window
+from snakeweaver.oracles import gen_row_markov
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def row_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("trace") / "row33.npz"
+    gen_row_markov(Window(3, 3), seed=1).marginal_set().save(path)
+    return path
+
+
+def _span_counts(tmp_path, *argv) -> collections.Counter:
+    spans = tmp_path / "spans.json"
+    pythonpath = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), "--", *argv],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return collections.Counter(span["name"] for span in json.loads(spans.read_text())["spans"])
+
+
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+def test_traced_command_runs_each_check_once(command, row_file, tmp_path):
+    counts = _span_counts(tmp_path, command, str(row_file), "--json")
+    assert counts[f"cli.{command}"] == 1
+    assert counts["marginal_store.MarginalSet.load"] == 1
+    assert counts["marginal_store.check_local_consistency"] == 1
+    assert counts["marginal_store.check_markov_conditions"] == 1
+    assert counts["reconstruct.reconstruct_global"] == (command == "reconstruct")
