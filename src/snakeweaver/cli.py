@@ -179,14 +179,16 @@ def cmd_reconstruct(args) -> int:
             print(f"error: {exc} (use --formula-only for big windows)", file=sys.stderr)
             return EXIT_GUARD
         result.entropy *= per_bit
-        result.step_cmis = [(y, r * per_bit) for y, r in result.step_cmis]
         reports["marginal_fidelity"] = result.marginal_report
         extra["entropy"] = result.entropy
-        extra["step_cmis"] = [{"shared_row": y, "residual": r} for y, r in result.step_cmis]
+        extra["entropy_method"] = result.entropy_method
+        extra["step_cmis"] = [
+            {"shared_row": y, "residual": r * per_bit, "method": method} for y, r, method in result.step_cmis
+        ]
         if args.state_out:
             save_state(result.state, args.state_out)
         if not args.json:
-            print(f"reconstruction entropy: {result.entropy:.9f}")
+            print(f"reconstruction entropy: {result.entropy:.9f} ({result.entropy_method})")
             print(f"max-entropy formula:    {formula:.9f}")
             print(
                 f"marginal fidelity: max residual "
@@ -248,7 +250,10 @@ def cmd_generate(args) -> int:
             ms = depolarize_marginal(ms, anchor, args.eps)
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(args.kind)
-    except (GeometryError, StateError, DimensionGuardError, ValueError) as exc:
+    except DimensionGuardError as exc:  # a ValueError too, but a resource guard, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except (GeometryError, StateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     ms.save(args.out)
@@ -280,11 +285,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_options(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("reconstruct", help="rebuild the global state and compare entropies")
+    p = sub.add_parser(
+        "reconstruct",
+        help="rebuild the dense global state, take its entropy by the certified row chain rule "
+        "(exact spectrum when a step's bound exceeds --tol-reconstruction), compare with the formula",
+    )
     p.add_argument("--force", action="store_true", help="reconstruct even when checks fail")
-    p.add_argument("--formula-only", action="store_true", help="skip the dense state, print only the formula")
+    p.add_argument(
+        "--formula-only",
+        action="store_true",
+        help="skip the reconstruction and its dense d^(width*height) state, print only the formula; "
+        "windows past the dense-dimension guard need it",
+    )
     p.add_argument("--state-out", metavar="PATH", help="write the reconstructed state as an " + _STATE_FILE)
-    p.add_argument("--tol-reconstruction", type=float, default=1e-6)
+    p.add_argument(
+        "--tol-reconstruction",
+        type=float,
+        default=1e-6,
+        help="marginal-fidelity trace-distance tolerance, and the largest chain-rule step bound, in bits, "
+        "accepted without an exact CMI (default 1e-6)",
+    )
     _add_tolerances(p)
     _add_report_options(p)
     p.set_defaults(func=cmd_reconstruct)

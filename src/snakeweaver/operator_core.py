@@ -38,6 +38,7 @@ EIG_CLIP_REL = 1e-10       # relative support cutoff: 1e-10 * largest eigenvalue
 NEG_EIG_ABORT = 1e-8       # eigenvalues below -1e-8 signal a logic bug, not rounding
 DENSE_DIM_GUARD = 2 ** 14  # refuse to materialize anything bigger
 REPAIR_DIM_MAX = 1024      # spectral clip-repair of merge outputs only up to this size
+HERM_BLOCK_ROWS = 512      # row-block height of the Hermiticity check
 
 
 class StateError(ValueError):
@@ -65,6 +66,20 @@ def _as_real_if_possible(mat: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(mat) and not mat.imag.any():
         return np.ascontiguousarray(mat.real)
     return mat
+
+
+def _hermiticity_deviation(mat: np.ndarray) -> float:
+    """max|A - A^H| of a square matrix; taller ones go by row blocks, so no full-size temporary is formed.
+
+    A matrix of at most HERM_BLOCK_ROWS rows is one block, taken without the
+    slicing, whose per-call cost would dominate for the many small marginals.
+    """
+    n = mat.shape[0]
+    if n <= HERM_BLOCK_ROWS:
+        return float(np.max(np.abs(mat - mat.conj().T)))
+    rows = range(0, n, HERM_BLOCK_ROWS)
+    blocks = [np.max(np.abs(mat[i:i + HERM_BLOCK_ROWS, :] - mat[:, i:i + HERM_BLOCK_ROWS].conj().T)) for i in rows]
+    return float(np.max(blocks))
 
 
 def _eigh(mat: np.ndarray):
@@ -98,7 +113,7 @@ class DensityOperator:
             mat = mat.astype(np.complex128)
         else:
             mat = np.ascontiguousarray(mat, dtype=np.complex128)
-        herm = np.max(np.abs(mat - mat.conj().T)) if dim > 0 else 0.0
+        herm = _hermiticity_deviation(mat)
         if herm > HERMITICITY_TOL:
             raise StateError(f"matrix is not Hermitian: max deviation {herm:.3e}")
         tr = mat.trace()

@@ -331,6 +331,7 @@ def ghz_row_source(window: Window):
     Returns (marginal_set, global_state).  With width 3 the full GHZ row sits
     inside every cluster, so the Markov checks must fail.
     """
+    check_dim_guard(2 ** len(window.sites()))
     row = window.height - 1
     row_sites = as_region([(x, row) for x in range(window.width)])
     rest = as_region([v for v in window.sites() if v[1] != row])

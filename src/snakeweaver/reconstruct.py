@@ -25,8 +25,9 @@ from .marginal_store import (
     Window,
     _region_json,
 )
-from .merge import right_merge
+from .merge import right_merge_info
 from .operator_core import (
+    TRACE_TOL,
     DensityOperator,
     check_dim_guard,
     cmi,
@@ -44,7 +45,8 @@ logger = logging.getLogger("snakeweaver.reconstruct")
 class ReconstructionResult:
     state: DensityOperator
     entropy: float                                  # bits
-    step_cmis: list = field(default_factory=list)   # (shared_row_y, residual in bits) per vertical merge
+    entropy_method: str                             # "chain" (certified upper bound) or "exact" (dense spectrum)
+    step_cmis: list = field(default_factory=list)   # (shared_row_y, residual in bits, "bound"/"exact") per merge
     marginal_report: CheckReport = field(default_factory=CheckReport)
 
 
@@ -59,9 +61,19 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     inputs pass the consistency and Markov checks.  Callers run those checks
     (the CLI does, at the user's tolerances); this function does not repeat
     them, and ``marginal_report``, the fidelity against every stored marginal,
-    is what shows that a reconstruction does not reproduce its inputs.  The
-    per-step conditional mutual informations across each shared row are
-    recorded in bits.
+    is what shows that a reconstruction does not reproduce its inputs.
+
+    Step y merges the strip on rows y, y+1 into sigma on rows 0..y, giving tau
+    with A = rows < y, B = row y, C = row y+1.  Its residual, in bits, is the
+    upper bound I(A:B)_sigma - I(A:B)_tau >= I(A:C|B)_tau, which is data
+    processing, I(A:BC)_tau <= I(A:B)_sigma, through the Petz channel on B.
+    The entropy comes from the last step, S(tau_AB) + S(tau_BC) - S(tau_B) =
+    S(tau) + I(A:C|B)_tau, an upper bound on S(tau) by strong subadditivity
+    that exceeds it by at most that step's bound.  No spectrum of the whole
+    window is taken.  A step whose merge drops or clips more than TRACE_TOL of
+    weight (the channel argument needs none lost), or whose bound exceeds
+    ``tol``, records the exact CMI instead; if it is the last step, the
+    entropy is the exact spectral entropy of the state.
     """
     window = ms.window
     check_dim_guard(ms.local_dim ** (window.width * window.height))
@@ -71,10 +83,26 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     step_cmis = []
     for y in range(1, window.height - 1):
         strip = build_snake(ms, SnakeSpec(2, (0, y), (window.width - 1, y)))
-        state = right_merge(state, strip)
-        below = region_union(*[_row_region(window, yy) for yy in range(y)])
-        residual = cmi(state, below, _row_region(window, y), _row_region(window, y + 1))
-        step_cmis.append((y, float(residual)))
+        tau, info = right_merge_info(state, strip)
+        a = region_union(*[_row_region(window, yy) for yy in range(y)])
+        b, c = _row_region(window, y), _row_region(window, y + 1)
+        tau_ab = partial_trace(tau, region_union(a, b))
+        bound = cmi(state, a, (), b) - cmi(tau_ab, a, (), b)
+        weight_kept = abs(info.trace_before_renorm - 1.0) <= TRACE_TOL and info.clipped_weight <= TRACE_TOL
+        if weight_kept and bound <= tol:
+            step_cmis.append((y, float(bound), "bound"))
+        else:
+            step_cmis.append((y, float(cmi(tau, a, b, c)), "exact"))
+        state = tau
+
+    if step_cmis[-1][2] == "bound":
+        # tau_ab's spectrum is cached by the bound above
+        tau_bc = partial_trace(state, region_union(b, c))
+        s_total = entropy(tau_ab) + entropy(tau_bc) - entropy(partial_trace(tau_bc, b))
+        method = "chain"
+    else:
+        s_total = entropy(state)
+        method = "exact"
 
     marginal_report = CheckReport()
     for anchor in ms.anchors():
@@ -89,7 +117,8 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
         )
     return ReconstructionResult(
         state=state,
-        entropy=entropy(state),
+        entropy=float(s_total),
+        entropy_method=method,
         step_cmis=step_cmis,
         marginal_report=marginal_report,
     )

@@ -8,6 +8,7 @@ import pytest
 
 from snakeweaver.cli import main
 from snakeweaver.marginal_store import MarginalSet, Window
+from snakeweaver.operator_core import DensityOperator
 from snakeweaver.oracles import gen_row_markov
 from snakeweaver.reconstruct import reconstruct_global
 
@@ -47,6 +48,15 @@ def test_ghz_row_fails_check(tmp_path):
     assert run("generate", "--kind", "ghz-row", "--width", "3", "--height", "3",
                "--out", str(path)) == 0
     assert run("check", str(path)) == 1
+
+
+def test_ghz_row_past_the_guard_exits_3(tmp_path, capsys):
+    path = tmp_path / "ghz44.npz"
+    assert run("generate", "--kind", "ghz-row", "--width", "4", "--height", "4", "--out", str(path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "guard" in err
+    assert not path.exists()
 
 
 def test_depolarized_kind_fails_consistency(tmp_path, capsys):
@@ -129,6 +139,21 @@ def test_reconstruct_small_window(row_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["entropy"] - payload["max_entropy_formula"]) < 1e-6
     assert payload["checks"]["marginal_fidelity"]["passed"] is True
+    assert payload["entropy_method"] == "chain"
+    assert [step["method"] for step in payload["step_cmis"]] == ["bound"]
+
+
+def test_reconstruct_reports_the_exact_path_for_a_random_pure_state(tmp_path, capsys):
+    window = Window(3, 3)
+    rng = np.random.default_rng(2)
+    psi = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    psi /= np.linalg.norm(psi)
+    path = tmp_path / "pure.npz"
+    MarginalSet.from_global(DensityOperator(window.sites(), 2, np.outer(psi, psi.conj())), window).save(path)
+    assert run("reconstruct", str(path), "--force", "--json") == 1  # a pure state is not Markov
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["entropy_method"] == "exact"
+    assert [step["method"] for step in payload["step_cmis"]] == ["exact"]
 
 
 def test_reconstruct_guard_exit_3(tmp_path):
@@ -188,7 +213,7 @@ def test_nats_reports_are_the_bits_reports_times_ln2(command, row_file, capsys):
         assert nats[key] == pytest.approx(bits[key] * ln2, rel=1e-12, abs=0)
     assert len(nats["step_cmis"]) == len(bits["step_cmis"]) == 1
     for b, n in zip(bits["step_cmis"], nats["step_cmis"]):
-        assert n["shared_row"] == b["shared_row"]
+        assert (n["shared_row"], n["method"]) == (b["shared_row"], b["method"])
         assert n["residual"] == pytest.approx(b["residual"] * ln2, rel=1e-12, abs=0)
 
 

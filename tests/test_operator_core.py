@@ -23,6 +23,7 @@ from snakeweaver.operator_core import (
     product_operator,
     sqrt_psd,
     trace_distance,
+    _hermiticity_deviation,
 )
 from snakeweaver.marginal_store import Window
 from snakeweaver.oracles import (
@@ -52,6 +53,25 @@ def test_density_operator_invariants():
     bad = DensityOperator(R1, 2, np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(StateError):
         bad.validate_spectrum()
+
+
+@pytest.mark.parametrize("dim", [8, 1024, 1100])
+def test_blockwise_hermiticity_deviation_equals_the_full_expression(dim):
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    herm = g + g.conj().T
+    herm[dim - 1, 3] += 1e-3  # the deviation sits in the last row block
+    for mat in (herm, g):
+        assert _hermiticity_deviation(mat) == np.max(np.abs(mat - mat.conj().T))
+    assert _hermiticity_deviation(herm) == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_a_large_operator_with_one_non_hermitian_entry_is_refused():
+    mat = np.eye(4096, dtype=complex) / 4096
+    mat[4000, 17] = 1e-9
+    region = as_region([(x, y) for y in range(3) for x in range(4)])
+    with pytest.raises(StateError, match="not Hermitian"):
+        DensityOperator(region, 2, mat)
 
 
 def test_matrix_is_frozen():

@@ -6,11 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from snakeweaver.lattice import GeometryError, as_region, site_path
-from snakeweaver.marginal_store import Window, check_local_consistency, check_markov_conditions
+from snakeweaver.lattice import GeometryError, as_region, region_union, site_path
+from snakeweaver.marginal_store import MarginalSet, Window, check_local_consistency, check_markov_conditions
+from snakeweaver.merge import right_merge
 from snakeweaver.operator_core import (
     DensityOperator,
     DimensionGuardError,
+    cmi,
     entropy,
     med,
     partial_trace,
@@ -35,6 +37,22 @@ from snakeweaver.reconstruct import (
     uniqueness_certificate,
     vertical_markov_check,
 )
+from snakeweaver.snakes import SnakeSpec, build_snake
+
+
+def _replay_steps(ms):
+    """Reference for reconstruct_global: each vertical merge's chain-rule bound and exact CMI, and the state."""
+    w = ms.window
+    rows = [as_region([(x, y) for x in range(w.width)]) for y in range(w.height)]
+    state = build_snake(ms, SnakeSpec(2, (0, 0), (w.width - 1, 0)))
+    steps = []
+    for y in range(1, w.height - 1):
+        tau = right_merge(state, build_snake(ms, SnakeSpec(2, (0, y), (w.width - 1, y))))
+        a = region_union(*rows[:y])
+        bound = cmi(state, a, (), rows[y]) - cmi(tau, a, (), rows[y])
+        steps.append((bound, cmi(tau, a, rows[y], rows[y + 1])))
+        state = tau
+    return steps, state
 
 
 def test_reconstruct_product_marginals():
@@ -43,10 +61,44 @@ def test_reconstruct_product_marginals():
     assert check_local_consistency(ms).passed
     assert check_markov_conditions(ms).passed
     res = reconstruct_global(ms)
+    assert res.state._eigvals_cache is None  # no spectrum of the whole window was taken
     assert res.marginal_report.passed
     assert trace_distance(res.state, src.global_state()) < 1e-10
-    # step CMIs ride on 12-qubit eigendecompositions, so noise sits near 1e-8
-    assert max(abs(r) for _, r in res.step_cmis) < 1e-6
+    assert [m for _, _, m in res.step_cmis] == ["bound"] and res.entropy_method == "chain"
+    assert max(abs(r) for _, r, _ in res.step_cmis) < 1e-12
+    # the exact sum of site entropies; the dense spectrum would read ~4.5e-8 low here, because its
+    # 1e-10 relative cutoff drops the smallest of the 4096 product eigenvalues
+    assert res.entropy == pytest.approx(src.region_entropy(ms.window.sites()), abs=1e-12)
+
+
+@pytest.mark.parametrize("height", [3, 4])
+@pytest.mark.parametrize("orientation,seed", [("rows", 4), ("columns", 5)])
+def test_chain_entropy_matches_the_dense_spectrum(height, orientation, seed):
+    ms = gen_row_markov(Window(3, height), seed=seed, orientation=orientation).marginal_set()
+    res = reconstruct_global(ms)
+    steps, dense = _replay_steps(ms)
+    assert np.array_equal(res.state.matrix, dense.matrix)
+    assert res.entropy_method == "chain"
+    assert res.entropy == pytest.approx(entropy(dense), abs=1e-9)
+    assert len(res.step_cmis) == len(steps) == height - 2
+    for (y, residual, method), (bound, exact) in zip(res.step_cmis, steps):
+        assert method == "bound"
+        assert residual == pytest.approx(bound, abs=1e-15)
+        assert bound >= exact - 1e-12
+
+
+def test_a_random_pure_state_takes_the_exact_path():
+    window = Window(3, 3)
+    rng = np.random.default_rng(2)
+    psi = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    psi /= np.linalg.norm(psi)
+    ms = MarginalSet.from_global(DensityOperator(window.sites(), 2, np.outer(psi, psi.conj())), window)
+    res = reconstruct_global(ms)
+    [(bound, exact)], dense = _replay_steps(ms)
+    assert 0.1 < bound < 0.3 and 0.05 < exact < 0.1  # the bound holds but is far above tol
+    assert res.step_cmis == [(1, exact, "exact")]
+    assert res.entropy_method == "exact"
+    assert res.entropy == entropy(dense)
 
 
 def test_reconstruct_single_cluster_window():
