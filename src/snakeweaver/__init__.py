@@ -43,6 +43,7 @@ from .merge import (
     merging_lemma_combine,
     right_merge,
     right_merge_info,
+    right_merge_marginal,
 )
 from .marginal_store import (
     CheckRecord,

@@ -182,8 +182,11 @@ def cmd_reconstruct(args) -> int:
         reports["marginal_fidelity"] = result.marginal_report
         extra["entropy"] = result.entropy
         extra["entropy_method"] = result.entropy_method
+        # the merge weights are unitless and keep their values under --log-base
         extra["step_cmis"] = [
-            {"shared_row": y, "residual": r * per_bit, "method": method} for y, r, method in result.step_cmis
+            {"shared_row": y, "residual": r * per_bit, "method": method,
+             "trace_before_renorm": info.trace_before_renorm, "clipped_weight": info.clipped_weight}
+            for (y, r, method), info in zip(result.step_cmis, result.merge_log)
         ]
         if args.state_out:
             save_state(result.state, args.state_out)
@@ -287,17 +290,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "reconstruct",
-        help="rebuild the dense global state, take its entropy by the certified row chain rule "
-        "(exact spectrum when a step's bound exceeds --tol-reconstruction), compare with the formula",
+        help="rebuild the global state by row merges, take its entropy by the certified row chain rule "
+        "(exact spectrum when a step's bound exceeds --tol-reconstruction), compare with the formula; "
+        "the dense state is formed only for --state-out or that exact path",
     )
     p.add_argument("--force", action="store_true", help="reconstruct even when checks fail")
     p.add_argument(
         "--formula-only",
         action="store_true",
-        help="skip the reconstruction and its dense d^(width*height) state, print only the formula; "
-        "windows past the dense-dimension guard need it",
+        help="skip the reconstruction and print only the formula; the reconstruction forms its dense "
+        "d^(width*height) state only for --state-out or its exact path, but refuses windows past the "
+        "dense-dimension guard, which need this flag",
     )
-    p.add_argument("--state-out", metavar="PATH", help="write the reconstructed state as an " + _STATE_FILE)
+    p.add_argument(
+        "--state-out",
+        metavar="PATH",
+        help="form the dense reconstructed state, which otherwise only the exact path forms, and write it as an "
+        + _STATE_FILE,
+    )
     p.add_argument(
         "--tol-reconstruction",
         type=float,

@@ -22,6 +22,7 @@ from .operator_core import (
     sqrt_psd,
     trace_distance,
     _eigh,
+    _reorder_sites,
 )
 
 logger = logging.getLogger("snakeweaver.merge")
@@ -45,6 +46,34 @@ class RightMergeInfo(NamedTuple):
     clipped_weight: float
 
 
+def _merge_regions(sigma: DensityOperator, rho: DensityOperator) -> tuple:
+    """The overlap B and the union of two merge operands, which must share sites and a local dimension."""
+    if sigma.local_dim != rho.local_dim:
+        raise GeometryError("local dims differ between merge operands")
+    overlap = region_intersection(sigma.region, rho.region)
+    if not overlap:
+        raise EmptyOverlapError("merge operands share no sites; use product_operator for a tensor product")
+    return overlap, region_union(sigma.region, rho.region)
+
+
+def _petz_factor(rho: DensityOperator, overlap) -> np.ndarray:
+    """K = rho_BC^1/2 (rho_B^-1/2 (x) I_C) on rho's legs, B = ``overlap``.
+
+    Computed as ((rho_B^-1/2 (x) I_C) rho_BC^1/2)^dag, both roots Hermitian.
+    """
+    rho_b = partial_trace(rho, overlap)
+    b_pos = [rho.site_pos(s) for s in overlap]
+    return apply_on_sites(pinv_sqrt_psd(rho_b.matrix), sqrt_psd(rho.matrix), b_pos, rho.local_dim).conj().T
+
+
+def _require_support(tr: float) -> None:
+    """A merge whose trace ``tr`` vanishes has operands with no common support on the overlap."""
+    if tr < 1e-12:
+        raise SupportMismatchError(
+            f"merged trace {tr:.3e}: overlap marginals have no common support"
+        )
+
+
 def right_merge_info(sigma: DensityOperator, rho: DensityOperator) -> tuple[DensityOperator, RightMergeInfo]:
     """Right-merge of ``rho`` into ``sigma``: rho_BC^1/2 rho_B^-1/2 sigma rho_B^-1/2 rho_BC^1/2.
 
@@ -54,19 +83,11 @@ def right_merge_info(sigma: DensityOperator, rho: DensityOperator) -> tuple[Dens
     reported in the info record.  Inverses are pseudo-inverses on the numerical
     support of rho_B; weight outside the support is dropped and reported.
     """
-    if sigma.local_dim != rho.local_dim:
-        raise GeometryError("local dims differ between merge operands")
+    overlap, total = _merge_regions(sigma, rho)
     d = sigma.local_dim
-    overlap = region_intersection(sigma.region, rho.region)
-    total = region_union(sigma.region, rho.region)
     check_dim_guard(d ** len(total))
-    if not overlap:
-        raise EmptyOverlapError("merge operands share no sites; use product_operator for a tensor product")
 
-    # K = rho_BC^1/2 (rho_B^-1/2 (x) I_C) = ((rho_B^-1/2 (x) I_C) rho_BC^1/2)^dag, both roots Hermitian
-    rho_b = partial_trace(rho, overlap)
-    b_pos = [rho.site_pos(s) for s in overlap]
-    k_bc = apply_on_sites(pinv_sqrt_psd(rho_b.matrix), sqrt_psd(rho.matrix), b_pos, d).conj().T
+    k_bc = _petz_factor(rho, overlap)
     # X = sigma (x) I_C / dim C; the scale is undone on the trace below
     ext = region_difference(rho.region, overlap)
     dim_ext = d ** len(ext)
@@ -79,10 +100,7 @@ def right_merge_info(sigma: DensityOperator, rho: DensityOperator) -> tuple[Dens
 
     tr_x = float(out.trace().real)
     tr = tr_x * dim_ext
-    if tr < 1e-12:
-        raise SupportMismatchError(
-            f"merged trace {tr:.3e}: overlap marginals have no common support"
-        )
+    _require_support(tr)
     out = out / tr_x
     clipped = 0.0
     if out.shape[0] <= REPAIR_DIM_MAX:
@@ -99,6 +117,56 @@ def right_merge_info(sigma: DensityOperator, rho: DensityOperator) -> tuple[Dens
         logger.warning("right_merge trace deviated by %.3e before renormalization", dev)
     info = RightMergeInfo(overlap, tr, clipped)
     return DensityOperator(total, d, out), info
+
+
+def right_merge_marginal(sigma: DensityOperator, rho: DensityOperator, keep) -> tuple[DensityOperator, float]:
+    """``partial_trace(right_merge(sigma, rho), keep)`` without forming the merge, and the merge's trace.
+
+    With A' = keep & A, k = keep & (B+C) and r the rest of B+C, the reduction is
+    Tr_r[(I_A' (x) K)(sigma_A'B (x) I_C)(I_A' (x) K^dag)], K the Petz factor of
+    ``right_merge_info``.  It is contracted by matrix products through the
+    smaller of two intermediates: the superoperator sum_rc E_rc (x) conj(E_rc),
+    E_rc[k, b] = K[kr, bc], with (d_k d_B)^2 entries, or the product itself,
+    with (d_A' d_B d_C)^2 entries.  The output is Hermitized and renormalized
+    but not clip-repaired; the returned trace is the merge's trace before
+    renormalization, Tr(sigma_B Pi_B) with Pi_B the support projector of rho_B.
+    """
+    overlap, total = _merge_regions(sigma, rho)
+    keep = as_region(keep)
+    if not set(keep) <= set(total):
+        raise GeometryError(f"keep region {keep} is not contained in {total}")
+    d = sigma.local_dim
+    a_sites = [s for s in keep if s not in rho.region]
+    k_sites = [s for s in keep if s in rho.region]
+    r_sites = [s for s in rho.region if s not in keep]
+    c_sites = [s for s in rho.region if s not in overlap]
+    da, dk, dr, db, dc = (d ** len(sites) for sites in (a_sites, k_sites, r_sites, overlap, c_sites))
+    check_dim_guard(max(da * dk, min(dk * db, da * db * dc)))
+
+    # K as a tensor with row legs (k, r) and column legs (B, C); sigma_A'B with legs (a, b, a', b')
+    n = len(rho.region)
+    rows = [rho.site_pos(s) for s in k_sites + r_sites]
+    cols = [n + rho.site_pos(s) for s in list(overlap) + c_sites]
+    k4 = _petz_factor(rho, overlap).reshape((d,) * (2 * n)).transpose(rows + cols).reshape(dk, dr, db, dc)
+    sig = partial_trace(sigma, region_union(a_sites, overlap))
+    sig = _reorder_sites(sig.matrix, sig.region, a_sites + list(overlap), d).reshape(da, db, da, db)
+    if dk * db <= da * db * dc:
+        e = k4.transpose(1, 3, 0, 2).reshape(dr * dc, dk * db)
+        sup = (e.T @ e.conj()).reshape(dk, db, dk, db).transpose(0, 2, 1, 3).reshape(dk * dk, db * db)
+        out = (sup @ sig.transpose(1, 3, 0, 2).reshape(db * db, da * da)).reshape(dk, dk, da, da)
+        out = out.transpose(2, 0, 3, 1)
+    else:
+        # P[kr, c, a, a', b'] = sum_b K[kr, b, c] sigma[a, b, a', b'], then contract b', c with conj(K)
+        k3 = k4.reshape(dk * dr, db, dc)
+        p = k3.transpose(0, 2, 1).reshape(dk * dr * dc, db) @ sig.transpose(1, 0, 2, 3).reshape(db, da * da * db)
+        p = p.reshape(dk * dr, dc, da, da, db).transpose(0, 2, 3, 4, 1).reshape(dk * dr * da * da, db * dc)
+        q = (p @ k3.conj().reshape(dk * dr, db * dc).T).reshape(dk, dr, da, da, dk, dr)
+        out = np.einsum("kraAjr->akAj", q)
+    out = _reorder_sites(out.reshape(da * dk, da * dk), a_sites + k_sites, keep, d)
+    out = 0.5 * (out + out.conj().T)
+    tr = float(out.trace().real)
+    _require_support(tr)
+    return DensityOperator(keep, d, out / tr), tr
 
 
 def right_merge(sigma: DensityOperator, rho: DensityOperator) -> DensityOperator:

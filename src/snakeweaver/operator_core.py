@@ -34,7 +34,7 @@ logger = logging.getLogger("snakeweaver.operator_core")
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 SPECTRUM_TOL = 1e-10       # stored states may dip this far below zero from rounding
-EIG_CLIP_REL = 1e-10       # relative support cutoff: 1e-10 * largest eigenvalue
+EIG_CLIP_REL = 1e-10       # relative support cutoff of pinv_sqrt_psd: 1e-10 * largest eigenvalue
 NEG_EIG_ABORT = 1e-8       # eigenvalues below -1e-8 signal a logic bug, not rounding
 DENSE_DIM_GUARD = 2 ** 14  # refuse to materialize anything bigger
 REPAIR_DIM_MAX = 1024      # spectral clip-repair of merge outputs only up to this size
@@ -236,9 +236,8 @@ def product_operator(ops: Iterable[DensityOperator]) -> DensityOperator:
 
 
 def _entropy_from_eigs(w: np.ndarray) -> float:
-    top = float(w[-1]) if len(w) else 0.0
-    cutoff = EIG_CLIP_REL * max(top, 0.0)
-    p = w[w > cutoff]
+    """Entropy in bits of a spectrum; every positive eigenvalue counts, since any cutoff biases it low."""
+    p = w[w > 0.0]
     if p.size == 0:
         return 0.0
     return float(-(p * np.log(p)).sum() / np.log(2.0))

@@ -25,7 +25,7 @@ from .marginal_store import (
     Window,
     _region_json,
 )
-from .merge import right_merge_info
+from .merge import RightMergeInfo, right_merge_info, right_merge_marginal
 from .operator_core import (
     TRACE_TOL,
     DensityOperator,
@@ -43,11 +43,20 @@ logger = logging.getLogger("snakeweaver.reconstruct")
 
 @dataclass
 class ReconstructionResult:
-    state: DensityOperator
+    """Entropy, checks and merge log of a reconstruction; ``state`` merges ``last_merge`` once, when first read."""
     entropy: float                                  # bits
     entropy_method: str                             # "chain" (certified upper bound) or "exact" (dense spectrum)
     step_cmis: list = field(default_factory=list)   # (shared_row_y, residual in bits, "bound"/"exact") per merge
     marginal_report: CheckReport = field(default_factory=CheckReport)
+    merge_log: list = field(default_factory=list)   # RightMergeInfo per merge, read from its reductions
+    last_merge: tuple = ()                          # (sigma, strip) whose right-merge is the state
+    _state: DensityOperator | None = field(default=None, repr=False)
+
+    @property
+    def state(self) -> DensityOperator:
+        if self._state is None:
+            self._state, _ = right_merge_info(*self.last_merge)
+        return self._state
 
 
 def _row_region(window: Window, y: int) -> Region:
@@ -69,58 +78,58 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     processing, I(A:BC)_tau <= I(A:B)_sigma, through the Petz channel on B.
     The entropy comes from the last step, S(tau_AB) + S(tau_BC) - S(tau_B) =
     S(tau) + I(A:C|B)_tau, an upper bound on S(tau) by strong subadditivity
-    that exceeds it by at most that step's bound.  No spectrum of the whole
-    window is taken.  A step whose merge drops or clips more than TRACE_TOL of
-    weight (the channel argument needs none lost), or whose bound exceeds
-    ``tol``, records the exact CMI instead; if it is the last step, the
+    that exceeds it by at most that step's bound.  These, the weight test and
+    each cluster's fidelity record read reductions of tau, so no spectrum of
+    the whole window is taken and the dense tau is formed only to carry sigma
+    on, for the exact path, or when ``state`` is read.  A step whose merge
+    drops, or whose reductions hold as negative eigenvalues, more than
+    TRACE_TOL of weight (the channel argument needs none lost), or whose
+    bound exceeds ``tol``, records the exact CMI instead; if last, the
     entropy is the exact spectral entropy of the state.
     """
     window = ms.window
     check_dim_guard(ms.local_dim ** (window.width * window.height))
 
-    v, u = (0, 0), (window.width - 1, 0)
-    state = build_snake(ms, SnakeSpec(2, v, u))
-    step_cmis = []
+    sigma = build_snake(ms, SnakeSpec(2, (0, 0), (window.width - 1, 0)))
+    step_cmis, merge_log = [], []
     for y in range(1, window.height - 1):
         strip = build_snake(ms, SnakeSpec(2, (0, y), (window.width - 1, y)))
-        tau, info = right_merge_info(state, strip)
         a = region_union(*[_row_region(window, yy) for yy in range(y)])
         b, c = _row_region(window, y), _row_region(window, y + 1)
-        tau_ab = partial_trace(tau, region_union(a, b))
-        bound = cmi(state, a, (), b) - cmi(tau_ab, a, (), b)
-        weight_kept = abs(info.trace_before_renorm - 1.0) <= TRACE_TOL and info.clipped_weight <= TRACE_TOL
-        if weight_kept and bound <= tol:
-            step_cmis.append((y, float(bound), "bound"))
-        else:
-            step_cmis.append((y, float(cmi(tau, a, b, c)), "exact"))
-        state = tau
+        tau_ab, trace = right_merge_marginal(sigma, strip, region_union(a, b))
+        tau_bc, _ = right_merge_marginal(sigma, strip, strip.region)
+        bound = cmi(sigma, a, (), b) - cmi(tau_ab, a, (), b)
+        clipped = float(sum(-w[w < 0.0].sum() for w in (tau_ab.eigenvalues(), tau_bc.eigenvalues())))
+        merge_log.append(RightMergeInfo(b, trace, clipped))
+        exact = abs(trace - 1.0) > TRACE_TOL or clipped > TRACE_TOL or bound > tol
+        last_merge, tau = (sigma, strip), None
+        if exact or y < window.height - 2:
+            sigma = tau = right_merge_info(sigma, strip)[0]
+        step_cmis.append((y, float(cmi(tau, a, b, c)), "exact") if exact else (y, float(bound), "bound"))
 
-    if step_cmis[-1][2] == "bound":
-        # tau_ab's spectrum is cached by the bound above
-        tau_bc = partial_trace(state, region_union(b, c))
-        s_total = entropy(tau_ab) + entropy(tau_bc) - entropy(partial_trace(tau_bc, b))
-        method = "chain"
+    if step_cmis[-1][2] == "bound":  # the bound and the weight test above cached tau_ab's and tau_bc's spectra
+        s_total, method = entropy(tau_ab) + entropy(tau_bc) - entropy(partial_trace(tau_bc, b)), "chain"
     else:
-        s_total = entropy(state)
-        method = "exact"
+        s_total, method = entropy(tau), "exact"
 
     marginal_report = CheckReport()
     for anchor in ms.anchors():
-        region = cluster_region(anchor, 3, 3)
-        dist = trace_distance(partial_trace(state, region), ms.marginals[anchor])
+        marginal, _ = right_merge_marginal(*last_merge, cluster_region(anchor, 3, 3))
         marginal_report.add(
             f"marginal-fidelity:{anchor[0]},{anchor[1]}",
             "marginal_fidelity",
-            dist,
+            trace_distance(marginal, ms.marginals[anchor]),
             tol,
             anchor=list(anchor),
         )
     return ReconstructionResult(
-        state=state,
         entropy=float(s_total),
         entropy_method=method,
         step_cmis=step_cmis,
         marginal_report=marginal_report,
+        merge_log=merge_log,
+        last_merge=last_merge,
+        _state=tau,
     )
 
 

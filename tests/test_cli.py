@@ -140,7 +140,9 @@ def test_reconstruct_small_window(row_file, capsys):
     assert abs(payload["entropy"] - payload["max_entropy_formula"]) < 1e-6
     assert payload["checks"]["marginal_fidelity"]["passed"] is True
     assert payload["entropy_method"] == "chain"
-    assert [step["method"] for step in payload["step_cmis"]] == ["bound"]
+    [step] = payload["step_cmis"]
+    assert step["method"] == "bound"
+    assert abs(step["trace_before_renorm"] - 1.0) <= 1e-10 and 0.0 <= step["clipped_weight"] <= 1e-10
 
 
 def test_reconstruct_reports_the_exact_path_for_a_random_pure_state(tmp_path, capsys):
@@ -215,6 +217,8 @@ def test_nats_reports_are_the_bits_reports_times_ln2(command, row_file, capsys):
     for b, n in zip(bits["step_cmis"], nats["step_cmis"]):
         assert (n["shared_row"], n["method"]) == (b["shared_row"], b["method"])
         assert n["residual"] == pytest.approx(b["residual"] * ln2, rel=1e-12, abs=0)
+        for key in ("trace_before_renorm", "clipped_weight"):  # unitless
+            assert n[key] == b[key]
 
 
 def test_an_extra_member_is_ignored(row_file, tmp_path, capsys):

@@ -13,6 +13,7 @@ from snakeweaver.merge import (
     merging_lemma_combine,
     right_merge,
     right_merge_info,
+    right_merge_marginal,
 )
 from snakeweaver.operator_core import (
     cmi,
@@ -140,6 +141,28 @@ def test_right_merge_matches_dense_petz_on_interleaved_2d_pair():
     expect = 0.5 * (expect + expect.conj().T)
     assert info.trace_before_renorm == pytest.approx(expect.trace().real, abs=1e-12)
     assert np.max(np.abs(out.matrix - expect / expect.trace().real)) < 1e-12
+
+
+_INTERLEAVED = ([(0, 0), (1, 0), (0, 1), (1, 1)], [(1, 0), (2, 0), (1, 1), (2, 1)])
+_ROW_STRIPS = ([(x, y) for y in (0, 1) for x in (0, 1)], [(x, y) for y in (1, 2) for x in (0, 1)])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "regions,mixed",
+    [(_INTERLEAVED, [(0, 0), (1, 1), (2, 0)]), (_ROW_STRIPS, [(0, 0), (1, 1), (0, 2), (1, 2)])],
+    ids=["interleaved", "row-strips"],
+)
+def test_right_merge_marginal_is_the_reduced_dense_merge(d, regions, mixed):
+    # A+B and the whole union go through the superoperator, B+C through the direct product
+    rng = np.random.default_rng(15)
+    sigma, rho = (random_state(r, rng, d) for r in regions)
+    out, info = right_merge_info(sigma, rho)
+    for keep in (sigma.region, rho.region, as_region(mixed), out.region):
+        marginal, trace = right_merge_marginal(sigma, rho, keep)
+        assert marginal.region == as_region(keep)
+        assert np.max(np.abs(marginal.matrix - partial_trace(out, keep).matrix)) <= 1e-14
+        assert trace == pytest.approx(info.trace_before_renorm, abs=1e-14)
 
 
 def test_is_markov_via_recovery_cases():

@@ -112,6 +112,14 @@ def test_entropy_examples():
     assert entropy(op) == pytest.approx(1.5, abs=1e-12)
 
 
+def test_entropy_counts_eigenvalues_far_below_the_top():
+    # 32 eigenvalues at 1e-12 of the largest carry 1.3e-9 bits; a relative cutoff of 1e-10 would drop them
+    p = np.concatenate([np.full(32, 1.0), np.full(32, 1e-12)])
+    p /= p.sum()
+    op = DensityOperator([(i, 0) for i in range(6)], 2, np.diag(p).astype(complex))
+    assert entropy(op) == pytest.approx(-math.fsum(x * math.log2(x) for x in p), abs=1e-12)
+
+
 def test_cmi_examples():
     rng = np.random.default_rng(3)
     prod = product_operator([random_state([(i, 0)], rng) for i in range(3)])

@@ -8,7 +8,7 @@ import pytest
 
 from snakeweaver.lattice import GeometryError, as_region, region_union, site_path
 from snakeweaver.marginal_store import MarginalSet, Window, check_local_consistency, check_markov_conditions
-from snakeweaver.merge import right_merge
+from snakeweaver.merge import right_merge, right_merge_info
 from snakeweaver.operator_core import (
     DensityOperator,
     DimensionGuardError,
@@ -66,8 +66,8 @@ def test_reconstruct_product_marginals():
     assert trace_distance(res.state, src.global_state()) < 1e-10
     assert [m for _, _, m in res.step_cmis] == ["bound"] and res.entropy_method == "chain"
     assert max(abs(r) for _, r, _ in res.step_cmis) < 1e-12
-    # the exact sum of site entropies; the dense spectrum would read ~4.5e-8 low here, because its
-    # 1e-10 relative cutoff drops the smallest of the 4096 product eigenvalues
+    # the exact sum of site entropies; the dense spectrum matches it too, now that its smallest
+    # eigenvalues (down to 2e-13 of the largest) count
     assert res.entropy == pytest.approx(src.region_entropy(ms.window.sites()), abs=1e-12)
 
 
@@ -83,8 +83,26 @@ def test_chain_entropy_matches_the_dense_spectrum(height, orientation, seed):
     assert len(res.step_cmis) == len(steps) == height - 2
     for (y, residual, method), (bound, exact) in zip(res.step_cmis, steps):
         assert method == "bound"
-        assert residual == pytest.approx(bound, abs=1e-15)
+        # both are rounding of an exact zero, at the scale of a 64- to 512-dim spectrum
+        assert residual == pytest.approx(bound, abs=1e-13)
         assert bound >= exact - 1e-12
+
+
+def test_the_dense_state_is_formed_once_and_only_when_read(monkeypatch):
+    full = []
+
+    def counting(sigma, rho):
+        out = right_merge_info(sigma, rho)
+        full.append(out[0].dim == 2 ** 12)
+        return out
+
+    monkeypatch.setattr("snakeweaver.reconstruct.right_merge_info", counting)
+    res = reconstruct_global(gen_row_markov(Window(4, 3), seed=1).marginal_set())
+    assert res.entropy_method == "chain" and res.marginal_report.passed
+    assert not any(full)
+    assert res.state is res.state
+    assert full == [True]
+    assert [info.overlap for info in res.merge_log] == [as_region([(x, 1) for x in range(4)])]
 
 
 def test_a_random_pure_state_takes_the_exact_path():

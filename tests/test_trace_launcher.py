@@ -26,7 +26,7 @@ def row_file(tmp_path_factory):
     return path
 
 
-def _span_counts(tmp_path, *argv) -> collections.Counter:
+def _spans(tmp_path, *argv) -> list:
     spans = tmp_path / "spans.json"
     pythonpath = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -37,14 +37,21 @@ def _span_counts(tmp_path, *argv) -> collections.Counter:
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return collections.Counter(span["name"] for span in json.loads(spans.read_text())["spans"])
+    return json.loads(spans.read_text())["spans"]
 
 
 @pytest.mark.parametrize("command", ["check", "reconstruct"])
 def test_traced_command_runs_each_check_once(command, row_file, tmp_path):
-    counts = _span_counts(tmp_path, command, str(row_file), "--json")
+    counts = collections.Counter(span["name"] for span in _spans(tmp_path, command, str(row_file), "--json"))
     assert counts[f"cli.{command}"] == 1
     assert counts["marginal_store.MarginalSet.load"] == 1
     assert counts["marginal_store.check_local_consistency"] == 1
     assert counts["marginal_store.check_markov_conditions"] == 1
     assert counts["reconstruct.reconstruct_global"] == (command == "reconstruct")
+
+
+def test_reconstruct_forms_no_dense_window_state(row_file, tmp_path):
+    spans = _spans(tmp_path, "reconstruct", str(row_file), "--json")
+    dims = [s["dim"] for s in spans if s["name"] == "merge.right_merge_info"]
+    assert dims  # the level-2 strips are still built by merges
+    assert max(dims) < 2 ** 9  # 2^(3*3): the whole window
