@@ -43,7 +43,7 @@ from .merge import (
     merging_lemma_combine,
     right_merge,
     right_merge_info,
-    right_merge_marginal,
+    right_merge_marginals,
 )
 from .marginal_store import (
     CheckRecord,

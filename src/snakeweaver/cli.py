@@ -100,14 +100,18 @@ def _add_tolerances(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_threads(args) -> None:
-    if args.threads is not None:
-        try:
-            from threadpoolctl import threadpool_limits
+def _apply_threads(args) -> bool:
+    """Cap the BLAS threads at ``--threads`` through the optional threadpoolctl; whether the cap took."""
+    if args.threads is None:
+        return False
+    try:
+        from threadpoolctl import threadpool_limits
 
-            threadpool_limits(limits=args.threads)
-        except Exception as exc:  # pragma: no cover - environment specific
-            print(f"warning: could not cap threads: {exc}", file=sys.stderr)
+        threadpool_limits(limits=args.threads)
+    except Exception as exc:
+        print(f"warning: could not cap threads: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _emit(args, payload: dict) -> None:
@@ -122,6 +126,7 @@ def _emit(args, payload: dict) -> None:
 def _report_payload(command: str, args, reports: dict, extra: dict | None = None) -> dict:
     config = {key: getattr(args, key) for key in ("tol_cmi", "tol_consistency") if key in args}
     config["log_base"] = "e" if args.log_base == math.e else args.log_base
+    config["threads"] = {"requested": args.threads, "applied": args.threads_applied}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -239,14 +244,17 @@ def cmd_generate(args) -> int:
         if args.kind == "product":
             source = gen_product(window, seed=args.seed)
             ms = source.marginal_set()
+            state = source.global_state() if args.global_out else None
         elif args.kind in ("row-markov", "column-markov"):
             orientation = "rows" if args.kind == "row-markov" else "columns"
             source = gen_row_markov(window, seed=args.seed, orientation=orientation, unitaries=args.unitaries)
             ms = source.marginal_set()
+            state = source.global_state() if args.global_out else None
         elif args.kind == "ghz-row":
-            ms, _ = ghz_row_source(window)
-            source = None
+            ms, state = ghz_row_source(window)
         elif args.kind == "depolarized":
+            if args.global_out:
+                raise ValueError("depolarized marginals disagree on their overlaps, so no global state has them")
             source = gen_row_markov(window, seed=args.seed, unitaries=args.unitaries)
             ms = source.marginal_set()
             anchor = ms.anchors()[0] if args.anchor is None else tuple(args.anchor)
@@ -261,10 +269,7 @@ def cmd_generate(args) -> int:
         return EXIT_INPUT_ERROR
     ms.save(args.out)
     if args.global_out:
-        if source is None:
-            print("error: no global state is defined for this kind", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        save_state(source.global_state(), args.global_out)
+        save_state(state, args.global_out)
     if not args.json:
         print(f"wrote {args.kind} marginals for a {args.width}x{args.height} window to {args.out}")
     return EXIT_OK
@@ -333,7 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="marginal file to write, an uncompressed .npz container with members format_version, window, "
         "local_dim, anchors (k,2) and matrices (k,D,D) complex128",
     )
-    p.add_argument("--global-out", metavar="PATH", help="also write the global state (guarded) as an " + _STATE_FILE)
+    p.add_argument(
+        "--global-out",
+        metavar="PATH",
+        help="also write the global state (guarded; refused for kind=depolarized, whose marginals no state has) as an "
+        + _STATE_FILE,
+    )
     p.add_argument("--unitaries", choices=["haar", "real", "none"], default="haar")
     p.add_argument("--eps", type=float, default=1e-3, help="depolarization strength in [0, 1] for kind=depolarized")
     p.add_argument("--anchor", type=int, nargs=2, default=None, help="anchor to depolarize")
@@ -346,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_threads(args)
+    args.threads_applied = _apply_threads(args)
     try:
         return args.func(args)
     except MarginalFileError as exc:

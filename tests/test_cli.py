@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from snakeweaver.cli import main
 from snakeweaver.marginal_store import MarginalSet, Window
 from snakeweaver.operator_core import DensityOperator
-from snakeweaver.oracles import gen_row_markov
+from snakeweaver.oracles import gen_row_markov, ghz_row_source
 from snakeweaver.reconstruct import reconstruct_global
 
 
@@ -132,6 +134,25 @@ def test_global_and_state_files_hold_the_exact_matrices(tmp_path):
         assert written["region"].tolist() == [list(v) for v in state.region]
         assert written["matrix"].dtype == np.complex128
         assert written["matrix"].tobytes() == state.matrix.tobytes()  # bit-exact, signed zeros included
+
+
+def test_ghz_row_global_out_writes_its_state(tmp_path):
+    marginals, global_out = tmp_path / "m.npz", tmp_path / "g.npz"
+    assert run("generate", "--kind", "ghz-row", "--width", "3", "--height", "3",
+               "--out", str(marginals), "--global-out", str(global_out)) == 0
+    _, state = ghz_row_source(Window(3, 3))
+    written = _members(global_out)
+    assert written["region"].tolist() == [list(v) for v in state.region]
+    assert written["matrix"].tobytes() == state.matrix.tobytes()
+
+
+def test_depolarized_global_out_is_refused_before_any_file_is_written(tmp_path, capsys):
+    marginals, global_out = tmp_path / "m.npz", tmp_path / "g.npz"
+    assert run("generate", "--kind", "depolarized", "--width", "4", "--height", "3", "--eps", "0.5",
+               "--out", str(marginals), "--global-out", str(global_out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not marginals.exists() and not global_out.exists()
 
 
 def test_reconstruct_small_window(row_file, capsys):
@@ -322,3 +343,16 @@ def test_bad_thread_counts_exit_2(source, value, row_file, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert repr(value) in err and "SNAKEWEAVER_THREADS" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("installed", [True, False])
+def test_reports_record_whether_the_thread_cap_was_applied(installed, row_file, monkeypatch, capsys):
+    monkeypatch.delenv("SNAKEWEAVER_THREADS", raising=False)
+    caps = []
+    fake = types.ModuleType("threadpoolctl")
+    fake.threadpool_limits = lambda limits: caps.append(limits)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake if installed else None)  # None makes the import fail
+    assert _json_run(capsys, "check", str(row_file))["config"]["threads"] == {"requested": None, "applied": False}
+    payload = _json_run(capsys, "check", str(row_file), "--threads", "3")
+    assert payload["config"]["threads"] == {"requested": 3, "applied": installed}
+    assert caps == ([3] if installed else [])

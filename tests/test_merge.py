@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from snakeweaver.lattice import as_region
+from snakeweaver.lattice import as_region, region_intersection, region_union
 from snakeweaver.marginal_store import Window
 from snakeweaver.merge import (
     EmptyOverlapError,
@@ -13,9 +13,10 @@ from snakeweaver.merge import (
     merging_lemma_combine,
     right_merge,
     right_merge_info,
-    right_merge_marginal,
+    right_merge_marginals,
 )
 from snakeweaver.operator_core import (
+    DensityOperator,
     cmi,
     partial_trace,
     pinv_sqrt_psd,
@@ -154,15 +155,25 @@ _ROW_STRIPS = ([(x, y) for y in (0, 1) for x in (0, 1)], [(x, y) for y in (1, 2)
     ids=["interleaved", "row-strips"],
 )
 def test_right_merge_marginal_is_the_reduced_dense_merge(d, regions, mixed):
-    # A+B and the whole union go through the superoperator, B+C through the direct product
+    # A+B and the whole union go through the superoperator, B+C through the direct product;
+    # the reference is the literal Kronecker Petz formula, reduced by partial traces
     rng = np.random.default_rng(15)
     sigma, rho = (random_state(r, rng, d) for r in regions)
-    out, info = right_merge_info(sigma, rho)
-    for keep in (sigma.region, rho.region, as_region(mixed), out.region):
-        marginal, trace = right_merge_marginal(sigma, rho, keep)
-        assert marginal.region == as_region(keep)
-        assert np.max(np.abs(marginal.matrix - partial_trace(out, keep).matrix)) <= 1e-14
-        assert trace == pytest.approx(info.trace_before_renorm, abs=1e-14)
+    total, overlap = region_union(sigma.region, rho.region), region_intersection(sigma.region, rho.region)
+    k = sqrt_psd(rho.matrix) @ _dense_embed(pinv_sqrt_psd(partial_trace(rho, overlap).matrix), overlap, rho.region, d)
+    k_full = _dense_embed(k, rho.region, total, d)
+    expect = k_full @ _dense_embed(sigma.matrix, sigma.region, total, d) @ k_full.conj().T
+    trace = expect.trace().real
+    expect = DensityOperator(total, d, 0.5 * (expect + expect.conj().T) / trace)
+    keeps = [sigma.region, rho.region, as_region(mixed), total]
+    marginals, first_trace = right_merge_marginals(sigma, rho, keeps)
+    assert first_trace == pytest.approx(trace, abs=1e-14)
+    for keep, marginal in zip(keeps, marginals):
+        [single], single_trace = right_merge_marginals(sigma, rho, [keep])
+        assert np.array_equal(single.matrix, marginal.matrix)  # one Petz factor serves every keep
+        assert single_trace == pytest.approx(trace, abs=1e-14)
+        assert marginal.region == keep
+        assert np.max(np.abs(marginal.matrix - partial_trace(expect, keep).matrix)) <= 1e-14
 
 
 def test_is_markov_via_recovery_cases():

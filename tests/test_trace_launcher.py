@@ -55,3 +55,9 @@ def test_reconstruct_forms_no_dense_window_state(row_file, tmp_path):
     dims = [s["dim"] for s in spans if s["name"] == "merge.right_merge_info"]
     assert dims  # the level-2 strips are still built by merges
     assert max(dims) < 2 ** 9  # 2^(3*3): the whole window
+
+
+def test_each_merge_step_builds_one_petz_factor(row_file, tmp_path):
+    # the strips' own merges take smaller roots; a 64-dim one is the Petz factor of the step's 64-dim strip
+    spans = _spans(tmp_path, "reconstruct", str(row_file), "--json")
+    assert [s["dim"] for s in spans if s["name"] == "operator_core.sqrt_psd"].count(2 ** 6) == 1
