@@ -101,7 +101,7 @@ def _add_tolerances(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_threads(args) -> bool:
-    """Cap the BLAS threads at ``--threads`` through the optional threadpoolctl; whether the cap took."""
+    """Cap the BLAS threads at ``--threads`` through threadpoolctl; whether the cap took."""
     if args.threads is None:
         return False
     try:

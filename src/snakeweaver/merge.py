@@ -63,13 +63,15 @@ def right_merge_info(sigma: DensityOperator, rho: DensityOperator) -> tuple[Dens
     """Right-merge of ``rho`` into ``sigma``: rho_BC^1/2 rho_B^-1/2 sigma rho_B^-1/2 rho_BC^1/2.
 
     B is the overlap of the two regions, extended by identity factors on the
-    unshared sites.  The merge is ``right_merge_marginals`` kept on the whole
-    union, clip-repaired here for dimensions up to the repair bound; the trace
-    before renormalization is reported in the info record.  Inverses are
-    pseudo-inverses on the numerical support of rho_B; weight outside the
-    support is dropped and reported.
+    unshared sites.  This is ``right_merge_marginals`` kept on the whole union,
+    then ``_repair_merge``; weight outside the support of rho_B is dropped.
     """
     [out], tr = right_merge_marginals(sigma, rho, [region_union(sigma.region, rho.region)])
+    return _repair_merge(out, tr, region_intersection(sigma.region, rho.region))
+
+
+def _repair_merge(out: DensityOperator, tr: float, overlap) -> tuple[DensityOperator, RightMergeInfo]:
+    """Merge ``out``, of trace ``tr`` before renormalization, clip-repaired up to REPAIR_DIM_MAX; its info record."""
     clipped = 0.0
     if out.dim <= REPAIR_DIM_MAX:
         w, u = _eigh(out.matrix)
@@ -80,10 +82,9 @@ def right_merge_info(sigma: DensityOperator, rho: DensityOperator) -> tuple[Dens
             w = np.clip(w, 0.0, None)
             w = w / w.sum()
             out = DensityOperator(out.region, out.local_dim, (u * w) @ u.conj().T)
-    dev = abs(tr - 1.0)
-    if dev > 1e-6:
-        logger.warning("right_merge trace deviated by %.3e before renormalization", dev)
-    return out, RightMergeInfo(region_intersection(sigma.region, rho.region), tr, clipped)
+    if abs(tr - 1.0) > 1e-6:
+        logger.warning("right_merge trace deviated by %.3e before renormalization", abs(tr - 1.0))
+    return out, RightMergeInfo(overlap, tr, clipped)
 
 
 def right_merge_marginals(sigma: DensityOperator, rho: DensityOperator, keeps) -> tuple[list[DensityOperator], float]:
@@ -124,7 +125,7 @@ def right_merge_marginals(sigma: DensityOperator, rho: DensityOperator, keeps) -
         r_sites = [s for s in rho.region if s not in keep]
         da, dk, dr = (d ** len(sites) for sites in (a_sites, k_sites, r_sites))
         # K with row legs (k, r) and column legs (B, C); sigma_A'B with legs (a, b, a', b').  Each
-        # intermediate is rebound to ``out``, so at most two arrays of the output's size are alive.
+        # intermediate is rebound to ``out`` as soon as the next exists, so at most two are alive.
         k4 = k_bc.transpose([rho.site_pos(s) for s in k_sites + r_sites] + cols).reshape(dk, dr, db, dc)
         sig = partial_trace(sigma, region_union(a_sites, overlap))
         sig = _reorder_sites(sig.matrix, sig.region, a_sites + list(overlap), d).reshape(da, db, da, db)
@@ -140,7 +141,8 @@ def right_merge_marginals(sigma: DensityOperator, rho: DensityOperator, keeps) -
             out = out.reshape(dk * dr, dc, da, da, db).transpose(0, 2, 3, 4, 1).reshape(dk * dr * da * da, db * dc)
             out = (out @ k3.conj().reshape(dk * dr, db * dc).T).reshape(dk, dr, da, da, dk, dr)
             out = np.einsum("kraAjr->akAj", out)
-        out = _reorder_sites(out.reshape(da * dk, da * dk), a_sites + k_sites, keep, d)
+        out = out.reshape(da * dk, da * dk)
+        out = _reorder_sites(out, a_sites + k_sites, keep, d)
         out += out.conj().T
         out *= 0.5
         traces.append(float(out.trace().real))
@@ -152,8 +154,7 @@ def right_merge_marginals(sigma: DensityOperator, rho: DensityOperator, keeps) -
 
 
 def right_merge(sigma: DensityOperator, rho: DensityOperator) -> DensityOperator:
-    out, _ = right_merge_info(sigma, rho)
-    return out
+    return right_merge_info(sigma, rho)[0]
 
 
 class MarkovCheck(NamedTuple):

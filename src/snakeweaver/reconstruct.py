@@ -25,7 +25,7 @@ from .marginal_store import (
     Window,
     _region_json,
 )
-from .merge import RightMergeInfo, right_merge_info, right_merge_marginals
+from .merge import RightMergeInfo, _repair_merge, right_merge_info, right_merge_marginals
 from .operator_core import (
     TRACE_TOL,
     DensityOperator,
@@ -81,12 +81,12 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     that exceeds it by at most that step's bound.  These, the weight test and
     each cluster's fidelity record read reductions of tau, all from one
     reduction call per step, so no spectrum of the whole window is taken and
-    the dense tau is formed only to carry sigma on, for the exact path, or
-    when ``state`` is read.  A step whose merge drops, or whose reductions
-    hold as negative eigenvalues, more than TRACE_TOL of weight (the channel
-    argument needs none lost), or whose bound exceeds ``tol``, records the
-    exact CMI instead; if last, the entropy is the exact spectral entropy of
-    the state.
+    the dense tau is formed only to carry sigma on (a reduction of the same
+    call), for the exact path, or when ``state`` is read.  A step whose merge
+    drops, or whose reductions hold as negative eigenvalues, more than
+    TRACE_TOL of weight (the channel argument needs none lost), or whose bound
+    exceeds ``tol``, records the exact CMI instead; if last, the entropy is
+    the exact spectral entropy of the state.
     """
     window = ms.window
     check_dim_guard(ms.local_dim ** (window.width * window.height))
@@ -99,15 +99,17 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
         strip = build_snake(ms, SnakeSpec(2, (0, y), (window.width - 1, y)))
         a = region_union(*[_row_region(window, yy) for yy in range(y)])
         b, c = _row_region(window, y), _row_region(window, y + 1)
-        keeps = [region_union(a, b), strip.region] + (clusters if last else [])
-        (tau_ab, tau_bc, *marginals), trace = right_merge_marginals(sigma, strip, keeps)
+        keeps = [region_union(a, b), strip.region] + (clusters if last else [region_union(a, b, c)])
+        (tau_ab, tau_bc, *rest), trace = right_merge_marginals(sigma, strip, keeps)
         bound = cmi(sigma, a, (), b) - cmi(tau_ab, a, (), b)
         clipped = float(sum(-w[w < 0.0].sum() for w in (tau_ab.eigenvalues(), tau_bc.eigenvalues())))
         merge_log.append(RightMergeInfo(b, trace, clipped))
         exact = abs(trace - 1.0) > TRACE_TOL or clipped > TRACE_TOL or bound > tol
         last_merge, tau = (sigma, strip), None
-        if exact or not last:
-            sigma = tau = right_merge_info(sigma, strip)[0]
+        if not last:
+            sigma = tau = _repair_merge(rest.pop(), trace, b)[0]
+        elif exact:
+            tau = right_merge_info(sigma, strip)[0]
         step_cmis.append((y, float(cmi(tau, a, b, c)), "exact") if exact else (y, float(bound), "bound"))
 
     if step_cmis[-1][2] == "bound":  # the bound and the weight test above cached tau_ab's and tau_bc's spectra
@@ -116,7 +118,7 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
         s_total, method = entropy(tau), "exact"
 
     marginal_report = CheckReport()
-    for anchor, marginal in zip(ms.anchors(), marginals):
+    for anchor, marginal in zip(ms.anchors(), rest):
         marginal_report.add(
             f"marginal-fidelity:{anchor[0]},{anchor[1]}",
             "marginal_fidelity",

@@ -57,7 +57,11 @@ def test_reconstruct_forms_no_dense_window_state(row_file, tmp_path):
     assert max(dims) < 2 ** 9  # 2^(3*3): the whole window
 
 
-def test_each_merge_step_builds_one_petz_factor(row_file, tmp_path):
-    # the strips' own merges take smaller roots; a 64-dim one is the Petz factor of the step's 64-dim strip
-    spans = _spans(tmp_path, "reconstruct", str(row_file), "--json")
-    assert [s["dim"] for s in spans if s["name"] == "operator_core.sqrt_psd"].count(2 ** 6) == 1
+@pytest.mark.parametrize("height", [3, 4])
+def test_each_merge_step_builds_one_petz_factor(height, tmp_path):
+    # the strips' own merges take smaller roots; a 64-dim one is the Petz factor of a step's 64-dim strip.
+    # On 3x4 the first step carries sigma on, which takes the dense merge from the step's own call.
+    path = tmp_path / "row.npz"
+    gen_row_markov(Window(3, height), seed=1).marginal_set().save(path)
+    spans = _spans(tmp_path, "reconstruct", str(path), "--json")
+    assert [s["dim"] for s in spans if s["name"] == "operator_core.sqrt_psd"].count(2 ** 6) == height - 2
