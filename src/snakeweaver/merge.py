@@ -82,8 +82,9 @@ def _repair_merge(out: DensityOperator, tr: float, overlap) -> tuple[DensityOper
             w = np.clip(w, 0.0, None)
             w = w / w.sum()
             out = DensityOperator(out.region, out.local_dim, (u * w) @ u.conj().T)
-    if abs(tr - 1.0) > 1e-6:
-        logger.warning("right_merge trace deviated by %.3e before renormalization", abs(tr - 1.0))
+    dev = abs(tr - 1.0)
+    if dev > 1e-6:
+        logger.warning("right_merge trace deviated by %.3e before renormalization", dev)
     return out, RightMergeInfo(overlap, tr, clipped)
 
 
@@ -154,7 +155,8 @@ def right_merge_marginals(sigma: DensityOperator, rho: DensityOperator, keeps) -
 
 
 def right_merge(sigma: DensityOperator, rho: DensityOperator) -> DensityOperator:
-    return right_merge_info(sigma, rho)[0]
+    out, _ = right_merge_info(sigma, rho)
+    return out
 
 
 class MarkovCheck(NamedTuple):
