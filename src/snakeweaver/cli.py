@@ -5,7 +5,8 @@ place that knows another unit: with ``--log-base e`` it reads ``--tol-cmi`` in
 nats, runs the checks in bits and multiplies every entropy, CMI residual and
 CMI tolerance it prints or writes by ln 2.
 
-Exit codes: 0 success, 1 a check failed, 2 unusable input, 3 resource guard.
+Exit codes: 0 success, 1 a check failed, 2 unusable input or an OS-level I/O
+failure (such as an output path that cannot be written), 3 resource guard.
 """
 
 from __future__ import annotations
@@ -300,14 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
         "the dense state is formed only for --state-out or that exact path",
     )
     p.add_argument("--force", action="store_true", help="reconstruct even when checks fail")
-    p.add_argument(
+    only = p.add_mutually_exclusive_group()
+    only.add_argument(
         "--formula-only",
         action="store_true",
         help="skip the reconstruction and print only the formula; the reconstruction forms its dense "
         "d^(width*height) state only for --state-out or its exact path, but refuses windows past the "
         "dense-dimension guard, which need this flag",
     )
-    p.add_argument(
+    only.add_argument(
         "--state-out",
         metavar="PATH",
         help="form the dense reconstructed state, which otherwise only the exact path forms, and write it as an "
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
     args.threads_applied = _apply_threads(args)
     try:
         return args.func(args)
-    except MarginalFileError as exc:
+    except (MarginalFileError, OSError) as exc:  # any OS-level I/O failure; open's names the path it could not write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InconsistentMarginalsError as exc:

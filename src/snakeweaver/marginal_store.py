@@ -30,8 +30,10 @@ from .lattice import (
     rotate_pi_local,
 )
 from .operator_core import (
+    HERMITICITY_TOL,
     DensityOperator,
     StateError,
+    _hermiticity_deviation,
     entropy,
     partial_trace,
     trace_distance,
@@ -85,11 +87,16 @@ class Window:
 
     def cluster_anchors(self) -> tuple[Vertex, ...]:
         """Anchors of the 3x3 clusters fully inside the window."""
-        return tuple(
-            (x, y)
-            for y in range(self.height - 2)
-            for x in range(2, self.width)
-        )
+        xs, ys = self._anchor_ranges()
+        return tuple((x, y) for y in ys for x in xs)
+
+    def cluster_count(self) -> int:
+        """``len(self.cluster_anchors())``, without listing the anchors."""
+        xs, ys = self._anchor_ranges()
+        return len(xs) * len(ys)
+
+    def _anchor_ranges(self) -> tuple[range, range]:
+        return range(2, self.width), range(self.height - 2)
 
 
 @dataclass(frozen=True)
@@ -252,17 +259,24 @@ class MarginalSet:
         self.window = window
         self.local_dim = int(local_dim)
         self.marginals: dict[Vertex, DensityOperator] = {}
-        expected = set(window.cluster_anchors())
-        if not expected:
+        # the count comes first, so a crafted window costs nothing before it is refused
+        clusters = window.cluster_count()
+        if not clusters:
             raise MarginalFileError(
                 f"a {window.width}x{window.height} window has no 3x3 cluster; it must be at least 3x3"
             )
+        if len(marginals) != clusters:
+            raise MarginalFileError(
+                f"a {window.width}x{window.height} window has {clusters} 3x3 clusters, got {len(marginals)} marginals"
+            )
+        expected = set(window.cluster_anchors())
         got = {as_vertex(a) for a in marginals}
         if got != expected:
             missing = sorted(expected - got, key=canonical_key)
             extra = sorted(got - expected, key=canonical_key)
             raise MarginalFileError(
-                f"marginal anchors do not match the window: missing {missing}, unexpected {extra}"
+                f"marginal anchors do not match the window: {len(missing)} missing, first {missing[:3]}; "
+                f"{len(extra)} unexpected, first {extra[:3]}"
             )
         for a, op in marginals.items():
             a = as_vertex(a)
@@ -372,6 +386,11 @@ class MarginalSet:
                 raise MarginalFileError(f"duplicate marginal anchor {anchor}")
             try:
                 op = DensityOperator(cluster_region(anchor, 3, 3), local_dim, mat)
+                # Reductions are not symmetrized and sum up to d^9 entries of the anti-Hermitian part, so a
+                # marginal that could carry it past HERMITICITY_TOL is stored Hermitized; any other keeps its
+                # exact bytes from the file.
+                if _hermiticity_deviation(op.matrix) * op.dim > HERMITICITY_TOL:
+                    op = DensityOperator(op.region, local_dim, 0.5 * (mat + mat.conj().T))
                 op.validate_spectrum()
             except StateError as exc:
                 raise MarginalFileError(f"marginal at {anchor} is not a valid state: {exc}") from exc

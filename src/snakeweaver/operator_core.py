@@ -3,11 +3,12 @@
 Tensor-factor convention: the sites of a region in canonical order (y, then x)
 index the tensor factors most-significant first, so the flat matrix index of a
 basis state is the base-d number whose leading digit belongs to the first site.
-``_reorder_sites`` is the one place that turns sites into tensor axes; every
-partial trace, product, embedding and leg-local application (``apply_on_sites``)
-goes through it.  All operators are stored as complex128; helpers transparently
-drop to real arithmetic when the imaginary part is exactly zero.  Entropies,
-conditional entropies and CMIs are in bits (log base 2) throughout the library.
+``_reorder_sites``, the one leg map, permutes and traces sites as tensor axes
+in one contraction; every partial trace, product, embedding and leg-local
+application (``apply_on_sites``) goes through it.  Reductions are validated,
+not symmetrized: one scales its input's deviation from Hermitian by up to
+d^(traced sites).  Operators are complex128; helpers drop to real arithmetic
+when the imaginary part is exactly zero.  Entropies and CMIs are in bits.
 """
 
 from __future__ import annotations
@@ -153,15 +154,17 @@ def _require_same_support(a: DensityOperator, b: DensityOperator) -> None:
 
 
 def _reorder_sites(mat: np.ndarray, order: Sequence, new_order: Sequence, d: int) -> np.ndarray:
-    """Re-express a d^n-dim matrix whose tensor factors follow the sites ``order`` in ``new_order``.
+    """``mat``, with tensor factors on the sites ``order``, traced and permuted onto the sites ``new_order``.
 
-    Rows and columns are permuted alike; the result is contiguous.
+    One einsum of the ``(d,) * 2n`` leg view, which any view of ``mat`` (a transposed one too) gives without a copy;
+    a traced site's column leg carries its row leg's label.  The result is contiguous and not symmetrized.
     """
     pos = {s: i for i, s in enumerate(order)}
-    perm = [pos[s] for s in new_order]
-    n = len(perm)
-    t = mat.reshape((d,) * (2 * n)).transpose(perm + [n + p for p in perm])
-    return np.ascontiguousarray(t.reshape(mat.shape))
+    kept = [pos[s] for s in new_order]
+    n, dk = len(order), d ** len(kept)
+    cols = [n + i if i in kept else i for i in range(n)]
+    t = np.einsum(mat.reshape((d,) * (2 * n)), list(range(n)) + cols, kept + [n + i for i in kept])
+    return np.ascontiguousarray(t).reshape(dk, dk)
 
 
 def apply_on_sites(op: np.ndarray, mat: np.ndarray, positions: Sequence[int], local_dim: int) -> np.ndarray:
@@ -187,20 +190,13 @@ def apply_on_sites(op: np.ndarray, mat: np.ndarray, positions: Sequence[int], lo
 
 
 def partial_trace(op: DensityOperator, keep) -> DensityOperator:
-    """Trace out everything outside ``keep``; the kept sites stay in canonical order."""
+    """Trace out everything outside ``keep`` with the leg map; the kept sites stay in canonical order."""
     keep = as_region(keep)
-    keep_set = set(keep)
-    if not keep_set <= set(op.region):
+    if not set(keep) <= set(op.region):
         raise GeometryError(f"keep region {keep} is not contained in {op.region}")
     if keep == op.region:
         return op
-    d = op.local_dim
-    drop = [s for s in op.region if s not in keep_set]
-    dk, dt = d ** len(keep), d ** len(drop)
-    t = _reorder_sites(op.matrix, op.region, list(keep) + drop, d)
-    out = np.einsum("itjt->ij", t.reshape(dk, dt, dk, dt))
-    out = 0.5 * (out + out.conj().T)
-    return DensityOperator(keep, d, out)
+    return DensityOperator(keep, op.local_dim, _reorder_sites(op.matrix, op.region, keep, op.local_dim))
 
 
 def embed_operator(mat: np.ndarray, sub, full, local_dim: int) -> np.ndarray:

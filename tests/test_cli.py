@@ -356,3 +356,50 @@ def test_reports_record_whether_the_thread_cap_was_applied(installed, row_file, 
     payload = _json_run(capsys, "check", str(row_file), "--threads", "3")
     assert payload["config"]["threads"] == {"requested": 3, "applied": installed}
     assert caps == ([3] if installed else [])
+
+
+@pytest.mark.parametrize("flag", ["--report", "--out", "--global-out", "--state-out"])
+def test_an_unwritable_output_path_exits_2_with_one_error_line(flag, row_file, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.npz")
+    generate = ("generate", "--kind", "row-markov", "--width", "3", "--height", "3", "--out")
+    argv = {
+        "--report": ("check", str(row_file), "--report", path),
+        "--out": (*generate, path),
+        "--global-out": (*generate, str(tmp_path / "m.npz"), "--global-out", path),
+        "--state-out": ("reconstruct", str(row_file), "--state-out", path),
+    }[flag]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+
+
+def test_formula_only_and_state_out_are_refused_together(row_file, tmp_path, capsys):
+    out = tmp_path / "state.npz"
+    with pytest.raises(SystemExit) as exc:
+        run("reconstruct", str(row_file), "--formula-only", "--state-out", str(out))
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_crafted_huge_window_is_refused_at_once_with_a_short_error(tmp_path, capsys):
+    # 996,004 clusters declared, none given: refused from the count, before any anchor list is built
+    path = tmp_path / "huge.npz"
+    np.savez(path, format_version=2, window=np.array([1000, 1000]), local_dim=2,
+             anchors=np.zeros((0, 2), dtype=np.int64), matrices=np.zeros((0, 512, 512), dtype=np.complex128))
+    assert run("check", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 1024
+    assert "996004 3x3 clusters" in err
+
+
+def test_a_marginal_admitted_with_an_anti_hermitian_part_still_checks(row_file, tmp_path, capsys):
+    # 4e-11 * (Y' x I) on the first site: 8e-11 from Hermitian, under the 1e-10 load bound, but 256 times
+    # that in its one-site reduction unless the marginal is Hermitized where it is read
+    members = _members(row_file)
+    members["matrices"][0] += 4e-11 * np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(256))
+    path = tmp_path / "skew.npz"
+    np.savez(path, **members)
+    for command in ("check", "entropy"):
+        assert run(command, str(path)) == 0, command
+    assert capsys.readouterr().err == ""

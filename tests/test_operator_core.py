@@ -24,6 +24,7 @@ from snakeweaver.operator_core import (
     sqrt_psd,
     trace_distance,
     _hermiticity_deviation,
+    _reorder_sites,
 )
 from snakeweaver.marginal_store import Window
 from snakeweaver.oracles import (
@@ -103,6 +104,43 @@ def test_partial_trace_identity_and_composition():
     direct = partial_trace(op, R1)
     assert trace_distance(step, direct) < 1e-12
     assert abs(step.matrix.trace() - 1.0) < 1e-12
+
+
+def _leg_map_reference(mat, order, new_order, d):
+    """sum_t V_t^T mat V_t, with V_t the basis isometry that puts the traced sites in the basis state t."""
+    n, k = len(order), len(new_order)
+    kept = [list(order).index(s) for s in new_order]
+    traced = [i for i in range(n) if i not in kept]
+    out = np.zeros((d ** k, d ** k), dtype=complex)
+    for t in np.ndindex(*(d,) * len(traced)):
+        v = np.zeros((d ** n, d ** k))
+        for col, i in enumerate(np.ndindex(*(d,) * k)):
+            digits = [0] * n
+            for p, x in zip(kept + traced, i + t):
+                digits[p] = x
+            v[sum(x * d ** (n - 1 - p) for p, x in enumerate(digits)), col] = 1.0
+        out += v.T @ mat @ v
+    return out
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 4)])
+def test_leg_map_traces_and_permutes_like_basis_projections(d, n):
+    rng = np.random.default_rng(16)
+    order = [(x, 0) for x in range(n)]
+    mat = rng.standard_normal((d ** n,) * 2) + 1j * rng.standard_normal((d ** n,) * 2)
+    # traced sites interleaved among kept ones, in an unsorted order; everything traced; a transposed view
+    for m, new_order in ((mat, [order[3], order[0], order[2]]), (mat, []), (mat.T, [order[2], order[1]])):
+        out = _reorder_sites(m, order, new_order, d)
+        assert out.flags.c_contiguous and out.shape == (d ** len(new_order),) * 2
+        assert np.max(np.abs(out - _leg_map_reference(m, order, new_order, d))) <= 1e-14
+    perm = [n - 1, 0] + list(range(n - 2, 0, -1))
+    expect = mat.reshape((d,) * (2 * n)).transpose(perm + [n + p for p in perm]).reshape(d ** n, d ** n)
+    assert np.array_equal(_reorder_sites(mat, order, [order[p] for p in perm], d), expect)
+    op = random_state(order, rng, d)
+    for keep in ([order[1], order[3]], [order[0], order[2], order[3]]):
+        got = partial_trace(op, keep)
+        assert got.region == as_region(keep)
+        assert np.max(np.abs(got.matrix - _leg_map_reference(op.matrix, order, keep, d))) <= 1e-14
 
 
 def test_entropy_examples():
