@@ -24,7 +24,6 @@ from .operator_core import (
     StateError,
     apply_on_sites,
     cmi,
-    conditional_entropy,
     embed_operator,
     entropy,
     med,
@@ -62,7 +61,6 @@ from .ci_calculus import (
     derive,
     mono_children,
     rev_mono,
-    statement_residual,
 )
 from .snakes import (
     SnakeSpec,
@@ -75,7 +73,6 @@ from .snakes import (
 )
 from .reconstruct import (
     ReconstructionResult,
-    expectation_from_marginals,
     max_entropy_formula,
     max_entropy_terms,
     reconstruct_global,

@@ -9,7 +9,6 @@ from typing import Iterable, Iterator
 
 from .lattice import GeometryError, Region, as_region
 from .marginal_store import CmCondition
-from .operator_core import DensityOperator, cmi
 
 MAX_STATEMENTS = 200_000  # a closure past this size is a runaway search, not a result
 
@@ -35,20 +34,12 @@ class CIStatement:
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
 
-    @property
-    def support(self) -> Region:
-        return as_region(self.A + self.B + self.C)
-
     def sort_key(self):
         return (self.A, self.B, self.C)
 
     @classmethod
     def from_condition(cls, cond: CmCondition) -> "CIStatement":
         return cls(cond.A, cond.B, cond.C)
-
-
-def statement_residual(op: DensityOperator, s: CIStatement) -> float:
-    return cmi(op, s.A, s.B, s.C)
 
 
 def _proper_nonempty_subsets(region: Region) -> Iterator[tuple]:

@@ -115,6 +115,17 @@ def _apply_threads(args) -> bool:
     return True
 
 
+def _probe_outputs(args) -> None:
+    """Open every output path for appending and remove what that created, so an unwritable one fails before any work."""
+    for key in ("out", "global_out", "report", "state_out"):
+        path = getattr(args, key, None)
+        if path:
+            existed = os.path.lexists(path)
+            open(path, "ab").close()
+            if not existed:
+                os.remove(path)
+
+
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2)
     if args.report:
@@ -360,6 +371,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.threads_applied = _apply_threads(args)
     try:
+        _probe_outputs(args)
         return args.func(args)
     except (MarginalFileError, OSError) as exc:  # any OS-level I/O failure; open's names the path it could not write
         print(f"error: {exc}", file=sys.stderr)

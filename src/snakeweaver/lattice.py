@@ -1,13 +1,11 @@
 """Integer-lattice geometry: vertices, canonically ordered regions, anchored clusters, block paths.
 
 Coordinates are plain integer pairs (x, y).  Adjacency is the square-lattice
-rule |dx| + |dy| == 1; the sheared embedding used for drawing never enters any
-computation (see ``sheared_coords``).
+rule |dx| + |dy| == 1; the sheared drawing of the lattice enters no computation.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import groupby
 from typing import Iterable, Sequence
 
@@ -65,15 +63,6 @@ def cluster_region(anchor, n: int, m: int) -> Region:
     return as_region([(ax - n + i, ay + j) for i in range(1, n + 1) for j in range(m)])
 
 
-def anchor_of(region: Iterable) -> Vertex:
-    """Bottom-right member: largest x among the sites with smallest y."""
-    r = as_region(region)
-    if not r:
-        raise GeometryError("empty region has no anchoring point")
-    ymin = min(v[1] for v in r)
-    return max((v for v in r if v[1] == ymin), key=lambda v: v[0])
-
-
 def neighbors(v) -> Region:
     x, y = as_vertex(v)
     return as_region([(x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)])
@@ -92,12 +81,6 @@ def rotate_pi_local(p) -> tuple[int, int]:
     if x not in (0, 1, 2) or y not in (0, 1, 2):
         raise GeometryError(f"local coordinate out of range: {p!r}")
     return (2 - x, 2 - y)
-
-
-def sheared_coords(v) -> tuple[float, float]:
-    """Display-only embedding with e_y = (-1/2, sqrt(3)/2); never used in computation."""
-    x, y = as_vertex(v)
-    return (x - 0.5 * y, 0.5 * math.sqrt(3.0) * y)
 
 
 def validate_block_path(path: Sequence[Iterable]) -> BlockPath:

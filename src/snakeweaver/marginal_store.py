@@ -125,17 +125,10 @@ def c_m_conditions(anchor, window: Window | None = None) -> list[CmCondition]:
     if window is not None and not window.contains_region(cluster_region(anchor, 3, 3)):
         raise GeometryError(f"3x3 cluster at {anchor} is not inside the window")
     out = []
-    for idx, (a, b, c) in enumerate(_CM_BASE):
-        out.append(
-            CmCondition(anchor, idx, _embed_local(anchor, a), _embed_local(anchor, b), _embed_local(anchor, c))
-        )
-    for idx, (a, b, c) in enumerate(_CM_BASE):
-        ra = [rotate_pi_local(p) for p in a]
-        rb = [rotate_pi_local(p) for p in b]
-        rc = [rotate_pi_local(p) for p in c]
-        out.append(
-            CmCondition(anchor, idx + 4, _embed_local(anchor, ra), _embed_local(anchor, rb), _embed_local(anchor, rc))
-        )
+    for offset, turn in ((0, lambda p: p), (4, rotate_pi_local)):
+        for idx, parts in enumerate(_CM_BASE):
+            a, b, c = (_embed_local(anchor, [turn(p) for p in part]) for part in parts)
+            out.append(CmCondition(anchor, idx + offset, a, b, c))
     for cond in out:
         sa, sb, sc = set(cond.A), set(cond.B), set(cond.C)
         assert not (sa & sb or sa & sc or sb & sc), "condition table produced overlapping parts"

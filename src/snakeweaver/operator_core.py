@@ -244,15 +244,6 @@ def entropy(op: DensityOperator) -> float:
     return _entropy_from_eigs(op.eigenvalues())
 
 
-def conditional_entropy(op: DensityOperator, A, B) -> float:
-    """S(A|B) = S(AB) - S(B) in bits, computed on reductions of ``op``."""
-    A, B = as_region(A), as_region(B)
-    ab = region_union(A, B)
-    s_ab = entropy(partial_trace(op, ab))
-    s_b = entropy(partial_trace(op, B)) if B else 0.0
-    return s_ab - s_b
-
-
 def cmi(op: DensityOperator, A, B, C) -> float:
     """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC), in bits.
 

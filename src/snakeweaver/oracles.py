@@ -149,31 +149,6 @@ class ClassicalChain:
         return out
 
 
-def _diagonal_state(region: Region, groups, local_dim: int) -> np.ndarray:
-    """Probability tensor for a product of group distributions placed on region axes.
-
-    ``groups`` is a list of (sites, tensor) pairs; the tensor axes follow the
-    listed site order.  Sites not covered by any group get the uniform
-    single-site distribution.
-    """
-    n = len(region)
-    pos = {v: i for i, v in enumerate(region)}
-    p = np.ones((local_dim,) * n)
-    covered: set = set()
-    for sites, tensor in groups:
-        axes = [pos[v] for v in sites]
-        t_sorted = np.transpose(tensor, np.argsort(axes))
-        shape = [local_dim if i in set(axes) else 1 for i in range(n)]
-        p = p * t_sorted.reshape(shape)
-        covered.update(sites)
-    for v in region:
-        if v not in covered:
-            shape = [1] * n
-            shape[pos[v]] = local_dim
-            p = p * np.full((local_dim,), 1.0 / local_dim).reshape(shape)
-    return p
-
-
 def _conjugate_sites(mat: np.ndarray, region: Region, unitaries: dict, local_dim: int) -> np.ndarray:
     """U mat U^dag for U the product of the site unitaries, one leg at a time."""
     legs = [(i, unitaries[v]) for i, v in enumerate(region) if v in unitaries]
@@ -239,12 +214,16 @@ class RowMarkovSource:
         for v in region:
             c, p = self._chain_and_pos(v)
             groups.setdefault(c, []).append((p, v))
-        packed = []
+        # every site lies on its chain, so the chains' marginals cover the region
+        n, pos = len(region), {v: i for i, v in enumerate(region)}
+        out = np.ones((self.local_dim,) * n)
         for c, items in groups.items():
             items.sort()
             tensor = self.chains[c].marginal([p for p, _ in items])
-            packed.append(([v for _, v in items], tensor))
-        return _diagonal_state(region, packed, self.local_dim)
+            axes = [pos[v] for _, v in items]
+            shape = [self.local_dim if i in axes else 1 for i in range(n)]
+            out = out * np.transpose(tensor, np.argsort(axes)).reshape(shape)
+        return out
 
     def marginal(self, region) -> DensityOperator:
         region = as_region(region)

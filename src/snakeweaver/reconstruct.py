@@ -7,8 +7,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .lattice import (
     GeometryError,
     Region,
@@ -261,16 +259,3 @@ def uniqueness_certificate(
     else:
         logger.info("uniqueness hypotheses fail; no distance claim is made")
     return report
-
-
-def expectation_from_marginals(ms: MarginalSet, terms) -> float:
-    """Sum of Tr(h rho_r) over (region, matrix) pairs, each served by a derived marginal."""
-    total = 0.0
-    for region, h in terms:
-        region = as_region(region)
-        marg = ms.derived_marginal(region)
-        h = np.asarray(h, dtype=complex)
-        if h.shape != marg.matrix.shape:
-            raise GeometryError(f"term on {region} has shape {h.shape}, expected {marg.matrix.shape}")
-        total += float(np.trace(h @ marg.matrix).real)
-    return total

@@ -8,10 +8,10 @@ from snakeweaver.ci_calculus import (
     derive,
     mono_children,
     rev_mono,
-    statement_residual,
 )
 from snakeweaver.lattice import GeometryError
 from snakeweaver.marginal_store import Window, c_m_conditions
+from snakeweaver.operator_core import cmi
 from snakeweaver.oracles import gen_row_markov
 
 A, B, C, D = (0, 0), (1, 0), (2, 0), (3, 0)
@@ -113,5 +113,5 @@ def test_derived_statements_hold_numerically():
     closure = derivation_closure(axioms, max_depth=2)
     ms = gen_row_markov(Window(3, 3), seed=1).marginal_set()
     marg = ms.marginals[(2, 0)]
-    worst = max(abs(statement_residual(marg, s)) for s in closure)
+    worst = max(abs(cmi(marg, s.A, s.B, s.C)) for s in closure)
     assert worst <= 1e-9

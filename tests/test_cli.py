@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+from snakeweaver import cli
 from snakeweaver.cli import main
 from snakeweaver.marginal_store import MarginalSet, Window
 from snakeweaver.operator_core import DensityOperator
@@ -358,19 +359,29 @@ def test_reports_record_whether_the_thread_cap_was_applied(installed, row_file, 
     assert caps == ([3] if installed else [])
 
 
-@pytest.mark.parametrize("flag", ["--report", "--out", "--global-out", "--state-out"])
-def test_an_unwritable_output_path_exits_2_with_one_error_line(flag, row_file, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flag", ["--report", "--report-reconstruct", "--report-entropy", "--out", "--global-out", "--state-out"]
+)
+def test_an_unwritable_output_path_exits_2_with_one_error_line(flag, row_file, tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "missing" / "x.npz")
     generate = ("generate", "--kind", "row-markov", "--width", "3", "--height", "3", "--out")
     argv = {
         "--report": ("check", str(row_file), "--report", path),
+        "--report-reconstruct": ("reconstruct", str(row_file), "--report", path),
+        "--report-entropy": ("entropy", str(row_file), "--report", path),
         "--out": (*generate, path),
         "--global-out": (*generate, str(tmp_path / "m.npz"), "--global-out", path),
         "--state-out": ("reconstruct", str(row_file), "--state-out", path),
     }[flag]
+    ran = []
+    for name in ("check_markov_conditions", "max_entropy_terms"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name, **k: ran.append(_name) or _real(*a, **k))
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+    # refused before any work, and no output is left behind
+    assert ran == [] and list(tmp_path.iterdir()) == []
 
 
 def test_formula_only_and_state_out_are_refused_together(row_file, tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from snakeweaver.lattice import (
     GeometryError,
-    anchor_of,
     as_region,
     canonical_key,
     cluster_region,
@@ -15,7 +14,6 @@ from snakeweaver.lattice import (
     neighbors,
     region_neighborhood,
     rotate_pi_local,
-    sheared_coords,
     site_path,
     validate_block_path,
 )
@@ -44,7 +42,6 @@ def test_cluster_contains_anchor_and_size():
         region = cluster_region(anchor, n, m)
         assert anchor in region
         assert len(region) == n * m
-        assert anchor_of(region) == anchor
 
 
 def test_neighbors_examples():
@@ -102,9 +99,3 @@ def test_site_path_and_column_blocks():
     assert [b[0] for b in path] == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
     cols = column_blocks(sites)
     assert cols == (((0, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (2, 1)))
-
-
-def test_sheared_coords_display_only():
-    x, y = sheared_coords((2, 2))
-    assert x == pytest.approx(1.0)
-    assert y == pytest.approx(np.sqrt(3.0))

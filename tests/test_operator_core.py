@@ -14,7 +14,6 @@ from snakeweaver.operator_core import (
     apply_on_sites,
     check_dim_guard,
     cmi,
-    conditional_entropy,
     embed_operator,
     entropy,
     med,
@@ -302,8 +301,3 @@ def test_jensen_gap_bound_in_nats():
         gap = math.log(2) * (entropy(mix) - 0.5 * (entropy(a) + entropy(b)))
         one_norm = 2.0 * trace_distance(a, b)
         assert gap >= one_norm ** 2 / 8.0 - 1e-9
-
-
-def test_conditional_entropy():
-    op = ghz_state(R2)
-    assert conditional_entropy(op, [(0, 0)], [(1, 0)]) == pytest.approx(-1.0, abs=1e-10)

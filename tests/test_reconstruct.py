@@ -29,7 +29,6 @@ from snakeweaver.oracles import (
     repetition_rows,
 )
 from snakeweaver.reconstruct import (
-    expectation_from_marginals,
     max_entropy_formula,
     max_entropy_terms,
     reconstruct_global,
@@ -69,6 +68,25 @@ def test_reconstruct_product_marginals():
     # the exact sum of site entropies; the dense spectrum matches it too, now that its smallest
     # eigenvalues (down to 2e-13 of the largest) count
     assert res.entropy == pytest.approx(src.region_entropy(ms.window.sites()), abs=1e-12)
+
+
+def test_reconstruct_real_orthogonal_row_chains():
+    src = gen_row_markov(Window(4, 3), seed=1, unitaries="real")
+    ms = src.marginal_set()
+    assert all(not m.matrix.imag.any() for m in ms.marginals.values())
+    assert check_local_consistency(ms, tol=1e-10).passed
+    assert check_markov_conditions(ms, tol=1e-10).passed
+    res = reconstruct_global(ms)
+    assert res.marginal_report.passed
+    # H(x0) + sum_c H(x_{c+1} | x_c) of each row's chain, from its initial law and transition matrices
+    exact = 0.0
+    for chain in src.chains:
+        p = chain.initial
+        exact -= (p * np.log2(p)).sum()
+        for t in chain.transitions:
+            exact -= (p[:, None] * t * np.log2(t)).sum()
+            p = p @ t
+    assert res.entropy == pytest.approx(exact, abs=1e-9)
 
 
 @pytest.mark.parametrize("height", [3, 4])
@@ -221,21 +239,6 @@ def test_uniqueness_certificate_region_mismatch():
     b = ghz_state(as_region([(0, 0), (2, 0)]))
     with pytest.raises(GeometryError):
         uniqueness_certificate(a, b, site_path(a.region))
-
-
-def test_expectation_from_marginals():
-    w = Window(3, 3)
-    src = gen_product(w, seed=11)
-    ms = src.marginal_set()
-    z = np.diag([1.0, -1.0])
-    site = (1, 1)
-    got = expectation_from_marginals(ms, [(as_region([site]), z)])
-    expect = float(np.trace(z @ src.site_states[site]).real)
-    assert got == pytest.approx(expect, abs=1e-12)
-    two = expectation_from_marginals(
-        ms, [(as_region([site]), z), (as_region([(0, 0)]), np.eye(2))]
-    )
-    assert two == pytest.approx(expect + 1.0, abs=1e-12)
 
 
 def test_row_med_equals_formula_for_repetition_rows():

@@ -97,6 +97,16 @@ def test_verify_is_snake_on_markov_data(ms33, level):
     assert all(r.residual == 0.0 for r in rep.records if r.kind == "support_disjoint")
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_verify_is_snake_checks_disjoint_supports_of_a_long_snake(level):
+    ms = gen_row_markov(Window(5, 3), seed=22).marginal_set()
+    rep = verify_is_snake(ms, SnakeSpec(level, (0, 0), (4, 0)), tol=1e-9)
+    assert rep.passed, rep.summary()
+    disjoint = [r for r in rep.records if r.kind == "support_disjoint"]
+    assert [r.check_id for r in disjoint] == ["snake-disjoint:0-2", "snake-disjoint:0-3", "snake-disjoint:1-3"]
+    assert all(r.passed and r.residual == 0.0 for r in disjoint)
+
+
 def test_verify_is_snake_fails_on_ghz_row():
     gm, _ = ghz_row_source(Window(3, 3))
     rep = verify_is_snake(gm, SnakeSpec(1, (0, 2), (2, 2)), tol=1e-8)
