@@ -13,6 +13,7 @@ ignore members they do not know.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,9 +202,25 @@ def _region_json(region: Region) -> list:
 
 
 def _write_container(path, **members) -> None:
-    """Write ``members`` and the format version as an uncompressed .npz container at exactly ``path``."""
-    with open(path, "wb") as fh:  # np.savez would append ".npz" to a bare path
-        np.savez(fh, format_version=FORMAT_VERSION, **members)
+    """Write ``members`` and the format version as an uncompressed .npz container at exactly ``path``.
+
+    The bytes are those ``np.savez`` writes for the same C-ordered members.  A member given as a list of arrays of
+    one shape and dtype is their stack, written one array at a time, so neither the stack nor a chunk copy of it is
+    formed.
+    """
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, value in {"format_version": FORMAT_VERSION, **members}.items():
+            stacked = isinstance(value, list)
+            parts = [np.asarray(a, order="C") for a in (value if stacked else [value])]
+            first = parts[0]
+            if any(a.shape != first.shape or a.dtype != first.dtype for a in parts):
+                raise ValueError(f"member {name!r} stacks arrays of different shapes or dtypes")
+            shape = (len(parts), *first.shape) if stacked else first.shape
+            header = {"descr": np.lib.format.dtype_to_descr(first.dtype), "fortran_order": False, "shape": shape}
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array_header_1_0(fh, header)
+                for a in parts:
+                    fh.write(memoryview(a).cast("B"))
 
 
 def save_state(state: DensityOperator, path) -> None:
@@ -344,13 +361,12 @@ class MarginalSet:
 
     def save(self, path) -> None:
         anchors = self.anchors()
-        dim = self.local_dim ** 9
         _write_container(
             path,
             window=np.array([self.window.width, self.window.height]),
             local_dim=self.local_dim,
             anchors=np.array(anchors, dtype=np.int64).reshape(-1, 2),
-            matrices=np.array([self.marginals[a].matrix for a in anchors], dtype=np.complex128).reshape(-1, dim, dim),
+            matrices=[self.marginals[a].matrix for a in anchors],
         )
 
     @classmethod

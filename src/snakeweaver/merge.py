@@ -13,6 +13,7 @@ import numpy as np
 
 from .lattice import GeometryError, as_region, region_difference, region_intersection, region_union
 from .operator_core import (
+    HERM_BLOCK_ROWS,
     NEG_EIG_ABORT,
     REPAIR_DIM_MAX,
     DensityOperator,
@@ -88,16 +89,31 @@ def _repair_merge(out: DensityOperator, tr: float, overlap) -> tuple[DensityOper
     return out, RightMergeInfo(overlap, tr, clipped)
 
 
+def _hermitize(mat: np.ndarray) -> None:
+    """Replace a square ``mat`` by (mat + mat^H) * 0.5 in place, by strips of HERM_BLOCK_ROWS rows and columns.
+
+    Strip i sets its rows from column i on and its columns below them, which later strips never read; every entry is
+    computed once, by the full expression's own arithmetic, so the result is bit-identical to it, signed zeros too.
+    """
+    n, h = mat.shape[0], HERM_BLOCK_ROWS
+    for i in range(0, n, h):
+        upper = (mat[i:i + h, i:] + mat[i:, i:i + h].conj().T) * 0.5
+        lower = (mat[i + h:, i:i + h] + mat[i:i + h, i + h:].conj().T) * 0.5
+        mat[i:i + h, i:] = upper
+        mat[i + h:, i:i + h] = lower
+
+
 def right_merge_marginals(sigma: DensityOperator, rho: DensityOperator, keeps) -> tuple[list[DensityOperator], float]:
     """``partial_trace(right_merge(sigma, rho), keep)`` for each of ``keeps``, without forming the merge.
 
     The Petz factor K of ``right_merge_info`` is built once per call.  With
     A' = keep & A, k = keep & (B+C) and r the rest of B+C, a reduction is
     Tr_r[(I_A' (x) K)(sigma_A'B (x) I_C)(I_A' (x) K^dag)], contracted by matrix
-    products through the smaller of two intermediates: the superoperator
+    products through the cheaper of two contractions: the superoperator
     sum_rc E_rc (x) conj(E_rc), E_rc[k, b] = K[kr, bc], with (d_k d_B)^2
-    entries, or the product itself, with (d_A' d_B d_C)^2 entries.  Outputs
-    are Hermitized and renormalized but not clip-repaired; the returned trace
+    entries, made one k-row block at a time and never whole, or the product
+    itself, with (d_A' d_B d_C)^2 entries.  Outputs are Hermitized in place
+    and renormalized but not clip-repaired; the returned trace
     is the first one's before renormalization, which is the merge's,
     Tr(sigma_B Pi_B) with Pi_B the support projector of rho_B.
     """
@@ -125,16 +141,20 @@ def right_merge_marginals(sigma: DensityOperator, rho: DensityOperator, keeps) -
     for keep, a_sites, k_sites in legs:
         r_sites = [s for s in rho.region if s not in keep]
         da, dk, dr = (d ** len(sites) for sites in (a_sites, k_sites, r_sites))
-        # K with row legs (k, r) and column legs (B, C); sigma_A'B with legs (a, b, a', b').  Each intermediate is
-        # rebound to ``out`` once the next exists: tracemalloc peaks at 2 output-size arrays on the 4096-dim 4x3 union
-        # and at 4.3 on the 64-dim interleaved test pair, where ufunc buffers and validation temporaries dominate.
+        # K with row legs (k, r) and column legs (B, C); sigma_A'B with legs (a, b, a', b').  The superoperator is
+        # built one k-row block at a time and written straight into the (a, k, a', k') output, so on the 4x3
+        # row-Markov strips tracemalloc peaks under 4x a 3x3-cluster keep's output and 1.5x the union's.
         k4 = k_bc.transpose([rho.site_pos(s) for s in k_sites + r_sites] + cols).reshape(dk, dr, db, dc)
         sig = _reorder_sites(sigma.matrix, sigma.region, a_sites + list(overlap), d).reshape(da, db, da, db)
         if dk * db <= da * db * dc:
-            e = k4.transpose(1, 3, 0, 2).reshape(dr * dc, dk * db)
-            out = (e.T @ e.conj()).reshape(dk, db, dk, db).transpose(0, 2, 1, 3).reshape(dk * dk, db * db)
-            out = (out @ sig.transpose(1, 3, 0, 2).reshape(db * db, da * da)).reshape(dk, dk, da, da)
-            out = out.transpose(2, 0, 3, 1)
+            e = k4.transpose(1, 3, 0, 2).reshape(dr * dc, dk, db)
+            e_conj = e.conj().reshape(dr * dc, dk * db)
+            sig_bbaa = sig.transpose(1, 3, 0, 2).reshape(db * db, da * da)
+            out = np.empty((da, dk, da, dk), dtype=np.complex128)
+            for k in range(dk):
+                # row[k', (b, b')] = sum_rc E_rc[k, b] conj(E_rc[k', b'])
+                row = (e[:, k, :].T @ e_conj).reshape(db, dk, db).transpose(1, 0, 2).reshape(dk, db * db)
+                out[:, k] = (row @ sig_bbaa).reshape(dk, da, da).transpose(1, 2, 0)
         else:
             # P[kr, c, a, a', b'] = sum_b K[kr, b, c] sigma[a, b, a', b'], then contract b', c with conj(K)
             k3 = k4.reshape(dk * dr, db, dc)
@@ -142,9 +162,9 @@ def right_merge_marginals(sigma: DensityOperator, rho: DensityOperator, keeps) -
             out = out.reshape(dk * dr, dc, da, da, db).transpose(0, 2, 3, 4, 1).reshape(dk * dr * da * da, db * dc)
             out = (out @ k3.conj().reshape(dk * dr, db * dc).T).reshape(dk, dr, da, da, dk, dr)
             out = np.einsum("kraAjr->akAj", out)
+        # a view of ``out`` when a_sites + k_sites is already the keep's order
         out = _reorder_sites(out, a_sites + k_sites, keep, d)
-        out += out.conj().T
-        out *= 0.5
+        _hermitize(out)
         traces.append(float(out.trace().real))
         if traces[-1] < 1e-12:  # no common support of the operands on the overlap
             raise SupportMismatchError(f"merged trace {traces[-1]:.3e}: overlap marginals have no common support")

@@ -39,7 +39,10 @@ EIG_CLIP_REL = 1e-10       # relative support cutoff of pinv_sqrt_psd: 1e-10 * l
 NEG_EIG_ABORT = 1e-8       # eigenvalues below -1e-8 signal a logic bug, not rounding
 DENSE_DIM_GUARD = 2 ** 14  # refuse to materialize anything bigger
 REPAIR_DIM_MAX = 1024      # spectral clip-repair of merge outputs only up to this size
-HERM_BLOCK_ROWS = 512      # row-block height of the Hermiticity check
+# Row-block height of the Hermiticity check and of merge Hermitization.  At 128 rows each temporary of a 512-dim
+# check is 1 MB; at 512 the check took that matrix whole, with 10 MB of temporaries.  Against 512 rows, on a 2-core
+# host: 512-dim 8.1 -> 2.5 ms, 256-dim 1.7 -> 0.6 ms, 4096-dim 637 -> 423 ms.
+HERM_BLOCK_ROWS = 128
 
 
 class StateError(ValueError):

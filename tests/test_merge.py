@@ -1,14 +1,17 @@
 """Right-merge, recovery checks, and the merging-lemma combiner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from snakeweaver.lattice import as_region, region_intersection, region_union
+from snakeweaver.lattice import as_region, cluster_region, region_intersection, region_union
 from snakeweaver.marginal_store import Window
 from snakeweaver.merge import (
     EmptyOverlapError,
     MergePreconditionError,
     SupportMismatchError,
+    _hermitize,
     is_markov_via_recovery,
     merging_lemma_combine,
     right_merge,
@@ -33,6 +36,7 @@ from snakeweaver.oracles import (
     random_state,
     tripartite_regions,
 )
+from snakeweaver.snakes import SnakeSpec, build_snake
 
 S = [(i, 0) for i in range(4)]
 
@@ -174,6 +178,34 @@ def test_right_merge_marginal_is_the_reduced_dense_merge(d, regions, mixed):
         assert single_trace == pytest.approx(trace, abs=1e-14)
         assert marginal.region == keep
         assert np.max(np.abs(marginal.matrix - partial_trace(expect, keep).matrix)) <= 1e-14
+
+
+@pytest.mark.parametrize("keep,bound", [("cluster", 4.0), ("union", 1.5)])
+def test_right_merge_marginal_peak_memory_is_a_small_multiple_of_its_output(keep, bound):
+    # the 4x3 row-Markov level-2 strips: a 3x3-cluster keep (512-dim) and the whole 4096-dim union both go through
+    # the superoperator, whose (d_k d_B)^2 entries are 4x the cluster output and as large as the union
+    ms = gen_row_markov(Window(4, 3), seed=1).marginal_set()
+    sigma = build_snake(ms, SnakeSpec(2, (0, 0), (3, 0)))
+    strip = build_snake(ms, SnakeSpec(2, (0, 1), (3, 1)))
+    region = cluster_region(ms.anchors()[0], 3, 3) if keep == "cluster" else region_union(sigma.region, strip.region)
+    tracemalloc.start()
+    try:
+        [out], _ = right_merge_marginals(sigma, strip, [region])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * out.matrix.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 729])
+def test_strip_hermitization_is_bitwise_the_full_expression(n):
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((n, n))
+    for mat in (real + 1j * rng.standard_normal((n, n)), real.astype(complex)):  # a real one has signed zeros to keep
+        expect = (mat + mat.conj().T) * 0.5
+        _hermitize(mat)
+        assert np.array_equal(mat, expect)
+        assert mat.tobytes() == expect.tobytes()
 
 
 def test_is_markov_via_recovery_cases():

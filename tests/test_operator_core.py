@@ -55,7 +55,7 @@ def test_density_operator_invariants():
         bad.validate_spectrum()
 
 
-@pytest.mark.parametrize("dim", [8, 1024, 1100])
+@pytest.mark.parametrize("dim", [8, 129, 512, 1024, 1100])
 def test_blockwise_hermiticity_deviation_equals_the_full_expression(dim):
     rng = np.random.default_rng(dim)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -7,7 +7,7 @@ import pytest
 
 from snakeweaver.lattice import GeometryError, as_region, site_path
 from snakeweaver.marginal_store import Window, check_local_consistency, check_markov_conditions
-from snakeweaver.merge import is_markov_via_recovery, right_merge
+from snakeweaver.merge import is_markov_via_recovery
 from snakeweaver.operator_core import (
     StateError,
     cmi,
@@ -34,7 +34,6 @@ from snakeweaver.oracles import (
     repetition_rows,
     tripartite_regions,
 )
-from snakeweaver.reconstruct import max_entropy_formula
 
 
 def test_classical_chain_marginals_are_consistent():

@@ -1,6 +1,5 @@
 """Reconstruction, the closed-form maximum-entropy value, vertical checks, uniqueness."""
 
-import math
 import warnings
 
 import numpy as np
@@ -14,8 +13,6 @@ from snakeweaver.operator_core import (
     DimensionGuardError,
     cmi,
     entropy,
-    med,
-    partial_trace,
     trace_distance,
 )
 from snakeweaver.oracles import (

@@ -5,8 +5,8 @@ import pytest
 
 from snakeweaver.lattice import GeometryError, as_region
 from snakeweaver.marginal_store import Window
-from snakeweaver.operator_core import DimensionGuardError, entropy, partial_trace, trace_distance
-from snakeweaver.oracles import gen_product, gen_repetition_rows, gen_row_markov, ghz_row_source
+from snakeweaver.operator_core import DimensionGuardError, entropy, trace_distance
+from snakeweaver.oracles import gen_product, gen_row_markov, ghz_row_source
 from snakeweaver.snakes import (
     SnakeSpec,
     build_snake,
