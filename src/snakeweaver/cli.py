@@ -331,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1e-6,
         help="marginal-fidelity trace-distance tolerance, and the largest chain-rule step bound, in bits, "
-        "accepted without an exact CMI (default 1e-6)",
+        "accepted without an exact CMI (default 1e-6); a fidelity record holds the Frobenius upper bound "
+        "1/2 sqrt(D) ||X||_F on the trace distance when it passes this tolerance, else the exact distance, "
+        "and its detail names the method",
     )
     _add_tolerances(p)
     _add_report_options(p)

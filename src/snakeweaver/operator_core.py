@@ -39,9 +39,10 @@ EIG_CLIP_REL = 1e-10       # relative support cutoff of pinv_sqrt_psd: 1e-10 * l
 NEG_EIG_ABORT = 1e-8       # eigenvalues below -1e-8 signal a logic bug, not rounding
 DENSE_DIM_GUARD = 2 ** 14  # refuse to materialize anything bigger
 REPAIR_DIM_MAX = 1024      # spectral clip-repair of merge outputs only up to this size
-# Row-block height of the Hermiticity check and of merge Hermitization.  At 128 rows each temporary of a 512-dim
-# check is 1 MB; at 512 the check took that matrix whole, with 10 MB of temporaries.  Against 512 rows, on a 2-core
-# host: 512-dim 8.1 -> 2.5 ms, 256-dim 1.7 -> 0.6 ms, 4096-dim 637 -> 423 ms.
+# Row-block height of the Hermiticity check, of merge Hermitization, of the in-place transpose (square blocks of this
+# side) and of the Frobenius bound's row strips.  At 128 rows each temporary of a 512-dim check is 1 MB; at 512 the
+# check took that matrix whole, with 10 MB of temporaries.  Against 512 rows, on a 2-core host: 512-dim 8.1 -> 2.5 ms,
+# 256-dim 1.7 -> 0.6 ms, 4096-dim 637 -> 423 ms.
 HERM_BLOCK_ROWS = 128
 
 
@@ -84,6 +85,19 @@ def _hermiticity_deviation(mat: np.ndarray) -> float:
     rows = range(0, n, HERM_BLOCK_ROWS)
     blocks = [np.max(np.abs(mat[i:i + HERM_BLOCK_ROWS, :] - mat[:, i:i + HERM_BLOCK_ROWS].conj().T)) for i in rows]
     return float(np.max(blocks))
+
+
+def _transpose_in_place(mat: np.ndarray) -> None:
+    """Replace a square contiguous ``mat`` by its transpose in place, swapping square blocks of HERM_BLOCK_ROWS.
+
+    Pure data movement, so the bytes equal ``np.ascontiguousarray(mat.T)``; the temporaries are one block each.
+    """
+    n, h = mat.shape[0], HERM_BLOCK_ROWS
+    for i in range(0, n, h):
+        for j in range(i, n, h):
+            upper = mat[i:i + h, j:j + h].T.copy()
+            mat[i:i + h, j:j + h] = mat[j:j + h, i:i + h].T
+            mat[j:j + h, i:i + h] = upper
 
 
 def _eigh(mat: np.ndarray):
@@ -272,6 +286,25 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     _require_same_support(a, b)
     w = _eigvalsh(a.matrix - b.matrix)
     return float(0.5 * np.abs(w).sum())
+
+
+def certified_trace_distance(a: DensityOperator, b: DensityOperator, tol: float) -> tuple[float, str]:
+    """``(value, method)``: the bound 1/2 sqrt(D) ||a - b||_F when it is at most ``tol``, else the exact distance.
+
+    ||X||_1 <= sqrt(rank X) ||X||_F, so the bound is never below ``trace_distance`` and a bound that passes ``tol``
+    certifies that the exact value does.  The Frobenius norm goes by row strips of HERM_BLOCK_ROWS, so no difference
+    matrix is formed; only an inconclusive bound pays for the spectrum.
+    """
+    _require_same_support(a, b)
+    n, h = a.dim, HERM_BLOCK_ROWS
+    sq = 0.0
+    for i in range(0, n, h):
+        strip = a.matrix[i:i + h] - b.matrix[i:i + h]
+        sq += float(np.vdot(strip, strip).real)
+    bound = 0.5 * math.sqrt(n * sq)
+    if bound <= tol:
+        return bound, "frobenius-bound"
+    return trace_distance(a, b), "exact"
 
 
 def sqrt_psd(mat: np.ndarray) -> np.ndarray:

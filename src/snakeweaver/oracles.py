@@ -22,6 +22,7 @@ from .operator_core import (
     product_operator,
     _entropy_from_eigs,
     _eigh,
+    _transpose_in_place,
 )
 
 logger = logging.getLogger("snakeweaver.oracles")
@@ -150,15 +151,23 @@ class ClassicalChain:
 
 
 def _conjugate_sites(mat: np.ndarray, region: Region, unitaries: dict, local_dim: int) -> np.ndarray:
-    """U mat U^dag for U the product of the site unitaries, one leg at a time."""
+    """U mat U^dag for U the product of the site unitaries, one leg at a time; ``mat`` is consumed.
+
+    U M U^dag = (conj(U) (U M)^T)^T, with both transposes made in place, so
+    every leg gets a contiguous matrix and the result is contiguous.  A caller
+    that hands over its only reference has at most two output-size arrays
+    alive: a leg's input and its output.
+    """
     legs = [(i, unitaries[v]) for i, v in enumerate(region) if v in unitaries]
-    # U M U^dag = (conj(U) (U M)^T)^T
+    if not legs:
+        return mat
     for i, u in legs:
         mat = apply_on_sites(u, mat, [i], local_dim)
-    mat = mat.T
+    _transpose_in_place(mat)
     for i, u in legs:
         mat = apply_on_sites(u.conj(), mat, [i], local_dim)
-    return mat.T
+    _transpose_in_place(mat)
+    return mat
 
 
 class RowMarkovSource:
@@ -227,9 +236,8 @@ class RowMarkovSource:
 
     def marginal(self, region) -> DensityOperator:
         region = as_region(region)
-        p = self.probability_tensor(region)
-        mat = np.diag(p.reshape(-1)).astype(complex)
-        mat = _conjugate_sites(mat, region, self.site_unitaries, self.local_dim)
+        p = self.probability_tensor(region).reshape(-1).astype(complex)
+        mat = _conjugate_sites(np.diag(p), region, self.site_unitaries, self.local_dim)
         return DensityOperator(region, self.local_dim, mat)
 
     def region_entropy(self, region) -> float:

@@ -27,6 +27,7 @@ from .merge import RightMergeInfo, _repair_merge, right_merge_info, right_merge_
 from .operator_core import (
     TRACE_TOL,
     DensityOperator,
+    certified_trace_distance,
     check_dim_guard,
     cmi,
     entropy,
@@ -84,7 +85,11 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     drops, or whose reductions hold as negative eigenvalues, more than
     TRACE_TOL of weight (the channel argument needs none lost), or whose bound
     exceeds ``tol``, records the exact CMI instead; if last, the entropy is
-    the exact spectral entropy of the state.
+    the exact spectral entropy of the state.  A fidelity record holds the
+    upper bound 1/2 sqrt(D) ||tau_cluster - marginal||_F on the cluster's
+    trace distance when that bound is at most ``tol``, and the exact trace
+    distance otherwise; its ``method`` detail says which
+    (``certified_trace_distance``).
     """
     window = ms.window
     check_dim_guard(ms.local_dim ** (window.width * window.height))
@@ -117,12 +122,14 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
 
     marginal_report = CheckReport()
     for anchor, marginal in zip(ms.anchors(), rest):
+        distance, how = certified_trace_distance(marginal, ms.marginals[anchor], tol)
         marginal_report.add(
             f"marginal-fidelity:{anchor[0]},{anchor[1]}",
             "marginal_fidelity",
-            trace_distance(marginal, ms.marginals[anchor]),
+            distance,
             tol,
             anchor=list(anchor),
+            method=how,
         )
     return ReconstructionResult(
         entropy=float(s_total),

@@ -24,6 +24,8 @@ from snakeweaver.operator_core import (
     trace_distance,
     _hermiticity_deviation,
     _reorder_sites,
+    _transpose_in_place,
+    certified_trace_distance,
 )
 from snakeweaver.marginal_store import Window
 from snakeweaver.oracles import (
@@ -193,6 +195,37 @@ def test_trace_distance_examples():
     assert trace_distance(z0, maximally_mixed(R1)) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(RegionMismatchError):
         trace_distance(z0, basis_state([(1, 0)], [0]))
+
+
+def test_certified_trace_distance_bounds_then_falls_back_to_the_spectrum():
+    rng = np.random.default_rng(4)
+    a = random_state(R3, rng)
+    for eps in (1e-9, 1e-3, 0.5):
+        b = DensityOperator(R3, 2, (1 - eps) * a.matrix + eps * random_state(R3, rng).matrix)
+        exact = trace_distance(a, b)
+        bound, method = certified_trace_distance(a, b, tol=1e-6)
+        if method == "frobenius-bound":
+            assert exact <= bound <= 1e-6
+            assert bound == pytest.approx(0.5 * math.sqrt(8) * np.linalg.norm(a.matrix - b.matrix), rel=1e-12)
+        else:
+            assert method == "exact" and bound == exact and exact > 1e-6 / math.sqrt(8)
+    assert certified_trace_distance(a, a, tol=0.0) == (0.0, "frobenius-bound")
+    with pytest.raises(RegionMismatchError):
+        certified_trace_distance(a, random_state(R2, rng), tol=1.0)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 729])
+def test_in_place_transpose_is_bitwise_the_contiguous_transpose(n):
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((n, n))
+    real[rng.random((n, n)) < 0.1] = -0.0  # signed zeros to keep
+    cplx = np.empty((n, n), dtype=complex)
+    cplx.real, cplx.imag = real, -real[::-1]
+    for mat in (cplx, real):
+        expect = np.ascontiguousarray(mat.T)
+        _transpose_in_place(mat)
+        assert np.array_equal(mat, expect)
+        assert mat.tobytes() == expect.tobytes()
 
 
 def test_sqrt_and_pinv_examples():

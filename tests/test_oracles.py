@@ -1,15 +1,18 @@
 """Generator and verifier oracles: sources, stabilizer engine, QMC triples, max-entropy solver."""
 
+import tracemalloc
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from snakeweaver.lattice import GeometryError, as_region, site_path
+from snakeweaver.lattice import GeometryError, as_region, cluster_region, site_path
 from snakeweaver.marginal_store import Window, check_local_consistency, check_markov_conditions
 from snakeweaver.merge import is_markov_via_recovery
 from snakeweaver.operator_core import (
     StateError,
+    apply_on_sites,
     cmi,
     entropy,
     med,
@@ -78,6 +81,56 @@ def test_uniform_independent_transitions_give_product():
     state = src.global_state()
     singles = [partial_trace(state, [v]) for v in state.region]
     assert trace_distance(state, product_operator(singles)) < 1e-12
+
+
+def _conjugate_sites_on_views(mat, region, unitaries, local_dim):
+    """The leg-by-leg conjugation on transposed views, with a copy at each transpose: the reference arithmetic."""
+    legs = [(i, unitaries[v]) for i, v in enumerate(region) if v in unitaries]
+    for i, u in legs:
+        mat = apply_on_sites(u, mat, [i], local_dim)
+    mat = mat.T
+    for i, u in legs:
+        mat = apply_on_sites(u.conj(), mat, [i], local_dim)
+    return mat.T
+
+
+BUILDS = pytest.mark.parametrize("width,height,whole", [(4, 3, False), (3, 3, True)],
+                                 ids=["4x3-cluster-marginal", "3x3-global-state"])
+
+
+def _build(width, height, whole):
+    """A seed-1 Haar row-Markov source, the region of one of its builds, and that build."""
+    src = gen_row_markov(Window(width, height), seed=1)
+    if whole:
+        return src, src.window.sites(), src.global_state
+    region = cluster_region(src.window.cluster_anchors()[-1], 3, 3)
+    return src, region, lambda: src.marginal(region)
+
+
+@BUILDS
+def test_row_markov_builds_are_bitwise_the_view_conjugation_and_match_the_dense_product(width, height, whole):
+    src, region, build = _build(width, height, whole)
+    op = build()
+    p = src.probability_tensor(region).reshape(-1)
+    ref = np.ascontiguousarray(
+        _conjugate_sites_on_views(np.diag(p).astype(complex), region, src.site_unitaries, src.local_dim)
+    )
+    assert np.array_equal(op.matrix, ref)
+    assert op.matrix.tobytes() == ref.tobytes()
+    u = reduce(np.kron, [src.site_unitaries[v] for v in region])
+    assert np.max(np.abs(op.matrix - (u * p) @ u.conj().T)) < 1e-14
+
+
+@BUILDS
+def test_row_markov_builds_hold_at_most_two_output_size_arrays(width, height, whole):
+    build = _build(width, height, whole)[2]
+    tracemalloc.start()
+    try:
+        op = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * op.matrix.nbytes  # four output-size arrays when the transposes copied
 
 
 def test_product_source_basics():

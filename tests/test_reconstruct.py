@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from snakeweaver.lattice import GeometryError, as_region, region_union, site_path
+from snakeweaver.lattice import GeometryError, as_region, cluster_region, region_union, site_path
 from snakeweaver.marginal_store import MarginalSet, Window, check_local_consistency, check_markov_conditions
-from snakeweaver.merge import right_merge, right_merge_info
+from snakeweaver.merge import right_merge, right_merge_info, right_merge_marginals
 from snakeweaver.operator_core import (
     DensityOperator,
     DimensionGuardError,
@@ -149,6 +149,26 @@ def test_reconstruct_leaves_contaminated_input_to_the_checks():
         warnings.simplefilter("error")
         res = reconstruct_global(ms)  # the checks are the caller's; none is repeated or warned about
     assert not res.marginal_report.passed  # GHZ coherences cannot be rebuilt
+
+
+def test_fidelity_records_hold_a_certified_bound_on_the_trace_distance():
+    ms, tol = gen_row_markov(Window(4, 3), seed=1).marginal_set(), 1e-6
+    res = reconstruct_global(ms, tol=tol)
+    clusters = [cluster_region(anchor, 3, 3) for anchor in ms.anchors()]
+    merged, _ = right_merge_marginals(*res.last_merge, clusters)
+    records = res.marginal_report.records
+    assert len(records) == len(merged) == 2
+    for rec, anchor, marginal in zip(records, ms.anchors(), merged):
+        assert rec.detail == {"anchor": list(anchor), "method": "frobenius-bound"}
+        assert trace_distance(marginal, ms.marginals[anchor]) <= rec.residual <= tol
+
+
+def test_a_fidelity_record_the_bound_cannot_certify_holds_the_exact_distance():
+    ms, _ = ghz_row_source(Window(3, 3))
+    res = reconstruct_global(ms)
+    [rec] = res.marginal_report.records
+    assert not rec.passed and rec.detail["method"] == "exact"
+    assert rec.residual == trace_distance(res.state, ms.marginals[(2, 0)])
 
 
 def test_reconstruct_rejects_small_windows_and_guard():
