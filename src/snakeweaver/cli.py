@@ -93,12 +93,22 @@ def _add_report_options(parser: argparse.ArgumentParser) -> None:
     _add_run_options(parser, "print the machine-readable report to stdout")
 
 
+def _parse_tolerance(text: str) -> float:
+    """A finite number >= 0: every comparison with a NaN is false, and a negative tolerance fails every check."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_tolerances(parser: argparse.ArgumentParser) -> None:
     """Check tolerances of the commands that run the consistency and Markov checks."""
-    parser.add_argument("--tol-cmi", type=float, default=1e-8, help="CMI tolerance in the --log-base unit (default 1e-8)")
-    parser.add_argument(
-        "--tol-consistency", type=float, default=1e-8, help="overlap trace-distance tolerance (default 1e-8)"
-    )
+    for flag, what in (("--tol-cmi", "CMI tolerance in the --log-base unit"),
+                       ("--tol-consistency", "overlap trace-distance tolerance")):
+        parser.add_argument(flag, type=_parse_tolerance, default=1e-8, help=f"{what} (default 1e-8)")
 
 
 def _apply_threads(args) -> bool:
@@ -202,7 +212,7 @@ def cmd_reconstruct(args) -> int:
         # the merge weights are unitless and keep their values under --log-base
         extra["step_cmis"] = [
             {"shared_row": y, "residual": r * per_bit, "method": method,
-             "trace_before_renorm": info.trace_before_renorm, "clipped_weight": info.clipped_weight}
+             "trace_before_renorm": info.trace_before_renorm, "clipped_weight": info.negative_weight}
             for (y, r, method), info in zip(result.step_cmis, result.merge_log)
         ]
         if args.state_out:
@@ -253,26 +263,21 @@ def cmd_entropy(args) -> int:
 def cmd_generate(args) -> int:
     try:
         window = Window(args.width, args.height)
-        if args.kind == "product":
-            source = gen_product(window, seed=args.seed)
-            ms = source.marginal_set()
-            state = source.global_state() if args.global_out else None
-        elif args.kind in ("row-markov", "column-markov"):
-            orientation = "rows" if args.kind == "row-markov" else "columns"
-            source = gen_row_markov(window, seed=args.seed, orientation=orientation, unitaries=args.unitaries)
-            ms = source.marginal_set()
-            state = source.global_state() if args.global_out else None
-        elif args.kind == "ghz-row":
+        if args.kind == "depolarized" and args.global_out:
+            raise ValueError("depolarized marginals disagree on their overlaps, so no global state has them")
+        if args.kind == "ghz-row":
             ms, state = ghz_row_source(window)
-        elif args.kind == "depolarized":
-            if args.global_out:
-                raise ValueError("depolarized marginals disagree on their overlaps, so no global state has them")
-            source = gen_row_markov(window, seed=args.seed, unitaries=args.unitaries)
+        else:  # depolarized marginals start as row-markov ones
+            if args.kind == "product":
+                source = gen_product(window, seed=args.seed)
+            else:
+                orientation = "columns" if args.kind == "column-markov" else "rows"
+                source = gen_row_markov(window, seed=args.seed, orientation=orientation, unitaries=args.unitaries)
             ms = source.marginal_set()
+            state = source.global_state() if args.global_out else None
+        if args.kind == "depolarized":
             anchor = ms.anchors()[0] if args.anchor is None else tuple(args.anchor)
             ms = depolarize_marginal(ms, anchor, args.eps)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(args.kind)
     except DimensionGuardError as exc:  # a ValueError too, but a resource guard, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -328,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tol-reconstruction",
-        type=float,
+        type=_parse_tolerance,
         default=1e-6,
         help="marginal-fidelity trace-distance tolerance, and the largest chain-rule step bound, in bits, "
         "accepted without an exact CMI (default 1e-6); a fidelity record holds the Frobenius upper bound "

@@ -1,7 +1,10 @@
 """Petz right-merge, recovery-based Markov checks, and the merging-lemma combiner.
 
 Every merge goes through one contraction, ``right_merge_marginals``, which
-builds the Petz factor once and returns the merge reduced to each region asked.
+builds the Petz factor once and returns the merge reduced to each region asked,
+Hermitized and renormalized.  No merge output is spectrally checked or repaired:
+a Petz map is completely positive and does not increase trace, so a merge of
+admitted operands is positive up to rounding at any size.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import numpy as np
 from .lattice import GeometryError, as_region, region_difference, region_intersection, region_union
 from .operator_core import (
     HERM_BLOCK_ROWS,
-    NEG_EIG_ABORT,
-    REPAIR_DIM_MAX,
     DensityOperator,
     StateError,
     apply_on_sites,
@@ -25,7 +26,6 @@ from .operator_core import (
     pinv_sqrt_psd,
     sqrt_psd,
     trace_distance,
-    _eigh,
     _reorder_sites,
 )
 
@@ -45,9 +45,9 @@ class MergePreconditionError(ValueError):
 
 
 class RightMergeInfo(NamedTuple):
+    """A merge's overlap B and its trace Tr(sigma_B Pi_B) before renormalization."""
     overlap: tuple
     trace_before_renorm: float
-    clipped_weight: float
 
 
 def _petz_factor(rho: DensityOperator, overlap) -> np.ndarray:
@@ -61,32 +61,17 @@ def _petz_factor(rho: DensityOperator, overlap) -> np.ndarray:
 
 
 def right_merge_info(sigma: DensityOperator, rho: DensityOperator) -> tuple[DensityOperator, RightMergeInfo]:
-    """Right-merge of ``rho`` into ``sigma``: rho_BC^1/2 rho_B^-1/2 sigma rho_B^-1/2 rho_BC^1/2.
+    """Right-merge of ``rho`` into ``sigma``: rho_BC^1/2 rho_B^-1/2 sigma rho_B^-1/2 rho_BC^1/2, and its info record.
 
     B is the overlap of the two regions, extended by identity factors on the
     unshared sites.  This is ``right_merge_marginals`` kept on the whole union,
-    then ``_repair_merge``; weight outside the support of rho_B is dropped.
+    as it returns it; weight outside the support of rho_B is dropped.
     """
     [out], tr = right_merge_marginals(sigma, rho, [region_union(sigma.region, rho.region)])
-    return _repair_merge(out, tr, region_intersection(sigma.region, rho.region))
-
-
-def _repair_merge(out: DensityOperator, tr: float, overlap) -> tuple[DensityOperator, RightMergeInfo]:
-    """Merge ``out``, of trace ``tr`` before renormalization, clip-repaired up to REPAIR_DIM_MAX; its info record."""
-    clipped = 0.0
-    if out.dim <= REPAIR_DIM_MAX:
-        w, u = _eigh(out.matrix)
-        if w[0] < -NEG_EIG_ABORT:
-            raise StateError(f"merge produced eigenvalue {w[0]:.3e}, beyond repair")
-        if w[0] < 0.0:
-            clipped = float(-w[w < 0.0].sum())
-            w = np.clip(w, 0.0, None)
-            w = w / w.sum()
-            out = DensityOperator(out.region, out.local_dim, (u * w) @ u.conj().T)
     dev = abs(tr - 1.0)
     if dev > 1e-6:
         logger.warning("right_merge trace deviated by %.3e before renormalization", dev)
-    return out, RightMergeInfo(overlap, tr, clipped)
+    return out, RightMergeInfo(region_intersection(sigma.region, rho.region), tr)
 
 
 def _hermitize(mat: np.ndarray) -> None:

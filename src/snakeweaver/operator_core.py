@@ -36,9 +36,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 SPECTRUM_TOL = 1e-10       # stored states may dip this far below zero from rounding
 EIG_CLIP_REL = 1e-10       # relative support cutoff of pinv_sqrt_psd: 1e-10 * largest eigenvalue
-NEG_EIG_ABORT = 1e-8       # eigenvalues below -1e-8 signal a logic bug, not rounding
+NEG_EIG_ABORT = 1e-8       # sqrt_psd/pinv_sqrt_psd operands below -1e-8 signal a logic bug; merge outputs go unchecked
 DENSE_DIM_GUARD = 2 ** 14  # refuse to materialize anything bigger
-REPAIR_DIM_MAX = 1024      # spectral clip-repair of merge outputs only up to this size
 # Row-block height of the Hermiticity check, of merge Hermitization, of the in-place transpose (square blocks of this
 # side) and of the Frobenius bound's row strips.  At 128 rows each temporary of a 512-dim check is 1 MB; at 512 the
 # check took that matrix whole, with 10 MB of temporaries.  Against 512 rows, on a 2-core host: 512-dim 8.1 -> 2.5 ms,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lattice import (
     GeometryError,
@@ -23,7 +24,7 @@ from .marginal_store import (
     Window,
     _region_json,
 )
-from .merge import RightMergeInfo, _repair_merge, right_merge_info, right_merge_marginals
+from .merge import right_merge_info, right_merge_marginals
 from .operator_core import (
     TRACE_TOL,
     DensityOperator,
@@ -40,6 +41,13 @@ from .snakes import SnakeSpec, build_snake
 logger = logging.getLogger("snakeweaver.reconstruct")
 
 
+class MergeStep(NamedTuple):
+    """A step's merge: its overlap, its trace before renormalization and the weight below zero of tau_AB and tau_BC."""
+    overlap: Region
+    trace_before_renorm: float
+    negative_weight: float
+
+
 @dataclass
 class ReconstructionResult:
     """Entropy, checks and merge log of a reconstruction; ``state`` merges ``last_merge`` once, when first read."""
@@ -47,7 +55,7 @@ class ReconstructionResult:
     entropy_method: str                             # "chain" (certified upper bound) or "exact" (dense spectrum)
     step_cmis: list = field(default_factory=list)   # (shared_row_y, residual in bits, "bound"/"exact") per merge
     marginal_report: CheckReport = field(default_factory=CheckReport)
-    merge_log: list = field(default_factory=list)   # RightMergeInfo per merge, read from its reductions
+    merge_log: list = field(default_factory=list)   # MergeStep per merge, read from its reductions
     last_merge: tuple = ()                          # (sigma, strip) whose right-merge is the state
     _state: DensityOperator | None = field(default=None, repr=False)
 
@@ -80,15 +88,15 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     that exceeds it by at most that step's bound.  These, the weight test and
     each cluster's fidelity record read reductions of tau, all from one
     reduction call per step, so no spectrum of the whole window is taken and
-    the dense tau is formed only to carry sigma on (a reduction of the same
-    call), for the exact path, or when ``state`` is read.  A step whose merge
-    drops, or whose reductions hold as negative eigenvalues, more than
-    TRACE_TOL of weight (the channel argument needs none lost), or whose bound
-    exceeds ``tol``, records the exact CMI instead; if last, the entropy is
-    the exact spectral entropy of the state.  A fidelity record holds the
-    upper bound 1/2 sqrt(D) ||tau_cluster - marginal||_F on the cluster's
-    trace distance when that bound is at most ``tol``, and the exact trace
-    distance otherwise; its ``method`` detail says which
+    the dense tau is formed only to carry sigma on (that call's union reduction,
+    as it is), for the exact path, or when ``state`` is read.  A step whose merge
+    drops, or whose tau_AB and tau_BC hold as negative eigenvalues (``merge_log``
+    keeps both weights), more than TRACE_TOL of weight (the channel argument needs
+    none lost), or whose bound exceeds ``tol``, records the exact CMI instead; if
+    last, the entropy is the exact spectral entropy of the state.  A fidelity
+    record holds the upper bound 1/2 sqrt(D) ||tau_cluster - marginal||_F on the
+    cluster's trace distance when that bound is at most ``tol``, and the exact
+    trace distance otherwise; its ``method`` detail says which
     (``certified_trace_distance``).
     """
     window = ms.window
@@ -105,12 +113,12 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
         keeps = [region_union(a, b), strip.region] + (clusters if last else [region_union(a, b, c)])
         (tau_ab, tau_bc, *rest), trace = right_merge_marginals(sigma, strip, keeps)
         bound = cmi(sigma, a, (), b) - cmi(tau_ab, a, (), b)
-        clipped = float(sum(-w[w < 0.0].sum() for w in (tau_ab.eigenvalues(), tau_bc.eigenvalues())))
-        merge_log.append(RightMergeInfo(b, trace, clipped))
-        exact = abs(trace - 1.0) > TRACE_TOL or clipped > TRACE_TOL or bound > tol
+        negative = float(sum(-w[w < 0.0].sum() for w in (tau_ab.eigenvalues(), tau_bc.eigenvalues())))
+        merge_log.append(MergeStep(b, trace, negative))
+        exact = abs(trace - 1.0) > TRACE_TOL or negative > TRACE_TOL or bound > tol
         last_merge, tau = (sigma, strip), None
         if not last:
-            sigma = tau = _repair_merge(rest.pop(), trace, b)[0]
+            sigma = tau = rest.pop()
         elif exact:
             tau = right_merge_info(sigma, strip)[0]
         step_cmis.append((y, float(cmi(tau, a, b, c)), "exact") if exact else (y, float(bound), "bound"))

@@ -346,6 +346,21 @@ def test_bad_thread_counts_exit_2(source, value, row_file, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--tol-cmi", "--tol-consistency", "--tol-reconstruction"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_a_tolerance_that_cannot_be_checked_exits_2(flag, value, row_file, monkeypatch, capsys):
+    # under a NaN step tolerance `reconstruct` takes a 0.19-bit step bound as certified; under -1 every check fails
+    ran = []
+    for name in ("check_local_consistency", "check_markov_conditions"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: ran.append(_name))
+    with pytest.raises(SystemExit) as exc:
+        run("reconstruct", str(row_file), flag, value)
+    assert exc.value.code == 2
+    [line] = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert flag in line and repr(value) in line and "finite number >= 0" in line
+    assert ran == []
+
+
 @pytest.mark.parametrize("installed", [True, False])
 def test_reports_record_whether_the_thread_cap_was_applied(installed, row_file, monkeypatch, capsys):
     monkeypatch.delenv("SNAKEWEAVER_THREADS", raising=False)

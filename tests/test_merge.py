@@ -30,7 +30,9 @@ from snakeweaver.operator_core import (
 from snakeweaver.oracles import (
     basis_state,
     gen_qmc_triple,
+    gen_repetition_rows,
     gen_row_markov,
+    ghz_row_source,
     ghz_state,
     maximally_mixed,
     random_state,
@@ -39,6 +41,25 @@ from snakeweaver.oracles import (
 from snakeweaver.snakes import SnakeSpec, build_snake
 
 S = [(i, 0) for i in range(4)]
+
+
+@pytest.fixture(autouse=True)
+def merge_outputs_are_positive(monkeypatch):
+    """Every merge output of up to 1024 dims that a test makes through ``right_merge`` has no eigenvalue below -1e-14.
+
+    A Petz map is completely positive, so no merge output is checked at run time; this is where that is tested.
+    """
+    outputs = []
+
+    def recording(sigma, rho, keeps):
+        outs, trace = right_merge_marginals(sigma, rho, keeps)
+        outputs.extend(out for out in outs if out.dim <= 1024)
+        return outs, trace
+
+    monkeypatch.setattr("snakeweaver.merge.right_merge_marginals", recording)
+    yield
+    for out in outputs:
+        assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-14, out.region
 
 
 def chain_state(seed, n=4, unitaries="haar"):
@@ -57,6 +78,11 @@ def test_right_merge_recovers_markov_states():
     A, B, C = tripartite_regions(2, 4, 2)
     merged = right_merge(partial_trace(op, A + B), partial_trace(op, B + C))
     assert trace_distance(merged, op) < 1e-10
+    # rank 4 of 1024: the level-2 strip of two repetition rows, five sites long, from its 2x2-cluster merges
+    src = gen_repetition_rows(Window(5, 3))
+    strip = build_snake(src.marginal_set(), SnakeSpec(2, (0, 0), (4, 0)))
+    assert strip.dim == 1024
+    assert trace_distance(strip, src.marginal(strip.region)) < 1e-10
 
 
 def test_right_merge_petz_formula_example():
@@ -70,6 +96,10 @@ def test_right_merge_petz_formula_example():
     )
     assert trace_distance(out, expect) < 1e-12
     assert info.overlap == as_region([S[1]])
+    # both operands rank one, agreeing on B: the merge is the basis state they share
+    out, info = right_merge_info(sigma, basis_state(S[1:3], [0, 1]))
+    assert trace_distance(out, basis_state(S[:3], [0, 0, 1])) < 1e-12
+    assert info.trace_before_renorm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_right_merge_trace_deviation_small_on_consistent_inputs():
@@ -215,6 +245,11 @@ def test_is_markov_via_recovery_cases():
     ok, residual, i_val = is_markov_via_recovery(prod, A, B, C, tol=1e-8)
     assert ok and residual < 1e-10
     ok, residual, i_val = is_markov_via_recovery(ghz_state(as_region(S[:3])), A, B, C, tol=1e-8)
+    assert not ok and residual > 0.1 and i_val > 0.9
+    # the 3x3 GHZ rows, columns as A, B, C: a pure 512-dim state merged from its rank-2 two-column reductions
+    _, ghz_rows = ghz_row_source(Window(3, 3))
+    columns = [[(x, y) for y in range(3)] for x in range(3)]
+    ok, residual, i_val = is_markov_via_recovery(ghz_rows, *columns, tol=1e-8)
     assert not ok and residual > 0.1 and i_val > 0.9
     chain = chain_state(8, n=3, unitaries="none")
     ok, residual, _ = is_markov_via_recovery(chain, A, B, C, tol=1e-8)

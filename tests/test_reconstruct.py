@@ -9,10 +9,13 @@ from snakeweaver.lattice import GeometryError, as_region, cluster_region, region
 from snakeweaver.marginal_store import MarginalSet, Window, check_local_consistency, check_markov_conditions
 from snakeweaver.merge import right_merge, right_merge_info, right_merge_marginals
 from snakeweaver.operator_core import (
+    EIG_CLIP_REL,
+    TRACE_TOL,
     DensityOperator,
     DimensionGuardError,
     cmi,
     entropy,
+    partial_trace,
     trace_distance,
 )
 from snakeweaver.oracles import (
@@ -132,6 +135,15 @@ def test_a_random_pure_state_takes_the_exact_path():
     assert res.step_cmis == [(1, exact, "exact")]
     assert res.entropy_method == "exact"
     assert res.entropy == entropy(dense)
+    # rho_B has full rank and the weight test passes, yet Tr_C of the Petz map is not the identity on B: the merge
+    # moves sigma_AB, so neither certifies the step without the bound over the whole of A
+    sigma, strip = res.last_merge
+    [step] = res.merge_log
+    w_b = np.linalg.eigvalsh(partial_trace(strip, step.overlap).matrix)
+    assert w_b[0] > EIG_CLIP_REL * w_b[-1]
+    assert abs(step.trace_before_renorm - 1.0) <= TRACE_TOL and step.negative_weight <= TRACE_TOL
+    [tau_ab], _ = right_merge_marginals(sigma, strip, [sigma.region])
+    assert trace_distance(tau_ab, sigma) > 0.05
 
 
 def test_reconstruct_single_cluster_window():
