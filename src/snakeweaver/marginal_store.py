@@ -61,10 +61,6 @@ class MissingMarginalError(GeometryError):
     """Requested region is not contained in any stored cluster."""
 
 
-class InconsistentMarginalsError(StateError):
-    """Two stored clusters reduce to different states on a region they share."""
-
-
 @dataclass(frozen=True)
 class Window:
     """A W x H block of sites with its bottom-left corner at the origin."""
@@ -328,11 +324,11 @@ class MarginalSet:
         return sorted(out, key=canonical_key)
 
     def derived_marginal(self, region) -> DensityOperator:
-        """Reduction of the stored marginal with the smallest parent anchor (y, then x).
+        """Reduction of the stored marginal with the smallest parent anchor (y, then x), cached per region.
 
-        Every other containing parent is reduced too and must agree within 1e-8
-        in trace distance; results are cached, so each distinct region pays for
-        validation once.
+        The other parents are not read: the region lies in the overlap of any two, and partial trace does not grow
+        the trace distance, so a full-pairwise ``check_local_consistency`` passing at ``tol`` certifies them all to
+        ``tol``.  That check is the caller's; the CLI runs it before every command that reads derived marginals.
         """
         region = as_region(region)
         cached = self._derived_cache.get(region)
@@ -341,15 +337,7 @@ class MarginalSet:
         parents = self.parents_of(region)
         if not parents:
             raise MissingMarginalError(f"region {region} is not contained in any inside 3x3 cluster")
-        out = partial_trace(self.marginals[parents[0]], region)
-        for other in parents[1:]:
-            dist = trace_distance(out, partial_trace(self.marginals[other], region))
-            if dist > 1e-8:
-                raise InconsistentMarginalsError(
-                    f"parents {parents[0]} and {other} disagree on {region}: "
-                    f"trace distance {dist:.3e} exceeds 1e-08"
-                )
-        self._derived_cache[region] = out
+        out = self._derived_cache[region] = partial_trace(self.marginals[parents[0]], region)
         return out
 
     def region_entropy(self, region) -> float:
@@ -442,10 +430,15 @@ def check_markov_conditions(ms: MarginalSet, tol: float = 1e-8) -> CheckReport:
     return report
 
 
+# The shifts (dx, dy) from one anchor to each later one, in canonical order, whose 3x3 clusters overlap: any two
+# clusters less than 3 apart in both directions share a site.
+_OVERLAP_SHIFTS = tuple((dx, dy) for dy in range(3) for dx in range(-2, 3) if (dy, dx) > (0, 0))
+
+
 def check_local_consistency(
     ms: MarginalSet, tol: float = 1e-8, full_pairwise: bool = False
 ) -> CheckReport:
-    """Trace distance of overlap reductions for adjacent cluster pairs.
+    """Trace distance of overlap reductions for adjacent cluster pairs, or for every overlapping pair.
 
     Adjacent pairs bound the rest only up to a factor: two overlapping clusters
     (dx, dy) apart are linked through |dx| + |dy| adjacent steps whose clusters
@@ -453,34 +446,27 @@ def check_local_consistency(
     partial trace each step moves the shared reduction by at most ``tol``, and
     the triangle inequality adds the steps up.  So passing certifies every
     overlapping pair to (|dx| + |dy|) * tol, up to 4 * tol, not to ``tol``.
-    Set ``full_pairwise`` to check every overlapping pair to ``tol``.
+    Set ``full_pairwise`` to check every overlapping pair to ``tol``, which
+    certifies every derived marginal to ``tol`` too.  Pairs come in canonical
+    order of their first anchor, then of their second.
     """
     report = CheckReport()
-    anchors = ms.anchors()
-    pairs = []
-    if full_pairwise:
-        for i, a in enumerate(anchors):
-            for b in anchors[i + 1:]:
-                if region_intersection(cluster_region(a, 3, 3), cluster_region(b, 3, 3)):
-                    pairs.append((a, b))
-    else:
-        for a in anchors:
-            for shift in ((1, 0), (0, 1)):
-                b = (a[0] + shift[0], a[1] + shift[1])
-                if b in ms.marginals:
-                    pairs.append((a, b))
-    for a, b in pairs:
-        overlap = region_intersection(cluster_region(a, 3, 3), cluster_region(b, 3, 3))
-        dist = trace_distance(
-            partial_trace(ms.marginals[a], overlap),
-            partial_trace(ms.marginals[b], overlap),
-        )
-        report.add(
-            f"consistency:{a[0]},{a[1]}|{b[0]},{b[1]}",
-            "consistency",
-            dist,
-            tol,
-            anchors=[list(a), list(b)],
-            overlap=_region_json(overlap),
-        )
+    for a in ms.anchors():
+        for dx, dy in _OVERLAP_SHIFTS if full_pairwise else ((1, 0), (0, 1)):
+            b = (a[0] + dx, a[1] + dy)
+            if b not in ms.marginals:
+                continue
+            overlap = region_intersection(cluster_region(a, 3, 3), cluster_region(b, 3, 3))
+            dist = trace_distance(
+                partial_trace(ms.marginals[a], overlap),
+                partial_trace(ms.marginals[b], overlap),
+            )
+            report.add(
+                f"consistency:{a[0]},{a[1]}|{b[0]},{b[1]}",
+                "consistency",
+                dist,
+                tol,
+                anchors=[list(a), list(b)],
+                overlap=_region_json(overlap),
+            )
     return report

@@ -5,7 +5,8 @@ k-tall marginals stepping right one column at a time; flat variants grow a
 lower-level snake row by row with 2x2 merges, and hooked variants seed the
 lower-level pass with one extra site so the very first merge already covers a
 full cluster.  All builders pull factors through the marginal set's derived
-lookup, so sub-marginal uniqueness is enforced in one place.
+lookup, which reads each region from its first parent cluster; a full-pairwise
+``check_local_consistency`` is what certifies that every other parent agrees.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ def test_check_json_report(row_file, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert run("check", str(row_file), "--json", "--report", str(report_path)) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["command"] == "check"
     assert payload["checks"]["markov"]["passed"] is True
     assert payload["checks"]["markov"]["summary"]["cmi"]["checks"] == 8
@@ -62,13 +62,18 @@ def test_ghz_row_past_the_guard_exits_3(tmp_path, capsys):
     assert not path.exists()
 
 
-def test_depolarized_kind_fails_consistency(tmp_path, capsys):
-    path = tmp_path / "dep.json"
+@pytest.fixture(scope="module")
+def depolarized_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "dep.npz"
     assert run("generate", "--kind", "depolarized", "--width", "4", "--height", "3",
                "--seed", "2", "--unitaries", "none", "--eps", "1e-3",
                "--out", str(path)) == 0
+    return path
+
+
+def test_depolarized_kind_fails_consistency(depolarized_file, capsys):
     capsys.readouterr()  # drop the generate banner
-    assert run("check", str(path), "--json") == 1
+    assert run("check", str(depolarized_file), "--json") == 1
     payload = json.loads(capsys.readouterr().out)
     failing = [
         r["check_id"]
@@ -76,12 +81,36 @@ def test_depolarized_kind_fails_consistency(tmp_path, capsys):
         if not r["passed"]
     ]
     assert failing and all("2,0" in f for f in failing)
-    # the disagreeing parents stop the derived marginals: a failed check, not a traceback
-    for argv in (("entropy", str(path)), ("reconstruct", str(path), "--force")):
-        assert run(*argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: parents") and err.count("\n") == 1
-        assert "Traceback" not in err
+    # entropy reads derived marginals only after its own full-pairwise check: a failed check, not a traceback
+    assert run("entropy", str(depolarized_file)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: consistency:2,0|3,0 fails") and err.count("\n") == 1
+
+
+def test_reconstruct_force_rebuilds_inconsistent_marginals(depolarized_file, capsys):
+    capsys.readouterr()
+    assert run("reconstruct", str(depolarized_file), "--force", "--json") == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    checks = json.loads(captured.out)["checks"]
+    by_id = {r["check_id"]: r for r in checks["consistency"]["records"]}
+    assert not by_id["consistency:2,0|3,0"]["passed"]
+    assert not checks["marginal_fidelity"]["passed"]
+
+
+def test_check_and_reconstruct_agree_at_the_users_tolerance(tmp_path, capsys):
+    path = tmp_path / "dep5.npz"
+    assert run("generate", "--kind", "depolarized", "--width", "4", "--height", "3",
+               "--seed", "2", "--unitaries", "none", "--eps", "1e-5", "--out", str(path)) == 0
+    capsys.readouterr()
+    tols = ("--tol-consistency", "1e-4", "--tol-cmi", "1e-4")
+    check = _json_run(capsys, "check", str(path), *tols)
+    # the reconstruction reproduces each marginal to about the depolarization, 2.5e-6, so its tolerance is 1e-4 too
+    recon = _json_run(capsys, "reconstruct", str(path), *tols, "--tol-reconstruction", "1e-4")
+    for name in ("consistency", "markov"):
+        assert check["checks"][name]["passed"]
+        assert recon["checks"][name] == check["checks"][name]
+    assert recon["checks"]["consistency"]["summary"]["consistency"]["max_residual"] > 1e-8
 
 
 def _members(path) -> dict:
@@ -164,7 +193,7 @@ def test_reconstruct_small_window(row_file, capsys):
     assert payload["entropy_method"] == "chain"
     [step] = payload["step_cmis"]
     assert step["method"] == "bound"
-    assert abs(step["trace_before_renorm"] - 1.0) <= 1e-10 and 0.0 <= step["clipped_weight"] <= 1e-10
+    assert abs(step["trace_before_renorm"] - 1.0) <= 1e-10 and 0.0 <= step["negative_weight"] <= 1e-10
 
 
 def test_reconstruct_reports_the_exact_path_for_a_random_pure_state(tmp_path, capsys):
@@ -200,6 +229,7 @@ def test_entropy_command(row_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["max_entropy_formula"] - payload["row_path_med"]) < 1e-6
     assert payload["terms"]
+    assert payload["checks"]["consistency"]["passed"] is True  # a single cluster has no pair to check
 
 
 def test_entropy_nats(row_file, capsys):
@@ -239,7 +269,7 @@ def test_nats_reports_are_the_bits_reports_times_ln2(command, row_file, capsys):
     for b, n in zip(bits["step_cmis"], nats["step_cmis"]):
         assert (n["shared_row"], n["method"]) == (b["shared_row"], b["method"])
         assert n["residual"] == pytest.approx(b["residual"] * ln2, rel=1e-12, abs=0)
-        for key in ("trace_before_renorm", "clipped_weight"):  # unitless
+        for key in ("trace_before_renorm", "negative_weight"):  # unitless
             assert n[key] == b[key]
 
 

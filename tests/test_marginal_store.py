@@ -1,12 +1,13 @@
 """Marginal sets: condition tables, consistency/Markov checks, derived marginals, file format."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from snakeweaver.lattice import cluster_region
+from snakeweaver.lattice import as_region, cluster_region, region_intersection
 from snakeweaver.marginal_store import (
     CheckReport,
-    InconsistentMarginalsError,
     MarginalFileError,
     MarginalSet,
     MissingMarginalError,
@@ -23,6 +24,7 @@ from snakeweaver.oracles import (
     gen_row_markov,
     ghz_row_source,
 )
+from snakeweaver.reconstruct import max_entropy_terms, row_major_med
 
 
 def test_condition_table_first_diagram():
@@ -118,6 +120,59 @@ def test_full_pairwise_covers_more_pairs():
     assert full.passed
 
 
+def test_full_pairwise_pairs_are_the_overlapping_pairs_in_canonical_order():
+    ms = gen_row_markov(Window(6, 5), seed=4, unitaries="none").marginal_set()
+    anchors = ms.anchors()
+    overlapping = [
+        f"consistency:{a[0]},{a[1]}|{b[0]},{b[1]}"
+        for i, a in enumerate(anchors)
+        for b in anchors[i + 1:]
+        if region_intersection(cluster_region(a, 3, 3), cluster_region(b, 3, 3))
+    ]
+    assert len(overlapping) < len(anchors) * (len(anchors) - 1) // 2  # clusters 3 columns apart share no site
+    assert [r.check_id for r in check_local_consistency(ms, full_pairwise=True).records] == overlapping
+
+
+class _RegionRecorder:
+    """An entropy provider that records each region read through it."""
+
+    def __init__(self, ms: MarginalSet):
+        self.ms, self.window, self.regions = ms, ms.window, set()
+
+    def region_entropy(self, region) -> float:
+        self.regions.add(as_region(region))
+        return self.ms.region_entropy(region)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: depolarize_marginal(gen_row_markov(Window(4, 4), seed=5).marginal_set(), (2, 0), 1e-3),
+        lambda: gen_row_markov(Window(4, 4), seed=6, orientation="columns").marginal_set(),
+    ],
+    ids=["depolarized", "column-markov"],
+)
+def test_full_pairwise_residuals_bound_every_parent_disagreement(make):
+    # a derived region lies in the overlap of any two of its parents, and partial trace does not grow the trace
+    # distance, so each pair's record bounds the pair's disagreement on every region the entropy formulas read
+    ms = make()
+    full = check_local_consistency(ms, full_pairwise=True)
+    residual = {tuple(tuple(a) for a in r.detail["anchors"]): r.residual for r in full.records}
+    reader = _RegionRecorder(ms)
+    max_entropy_terms(reader)
+    row_major_med(reader, ms.window)
+    worst = 0.0
+    for region in reader.regions:
+        parents = ms.parents_of(region)
+        for a, b in combinations(parents, 2):
+            dist = trace_distance(partial_trace(ms.marginals[a], region), partial_trace(ms.marginals[b], region))
+            assert dist <= residual[(a, b)] + 1e-15  # rounding, where both distances vanish in exact arithmetic
+            worst = max(worst, dist)
+    assert worst <= full.max_residual() + 1e-15
+    if full.max_residual() > 1e-8:
+        assert worst > 1e-8  # the depolarized set has regions whose parents disagree
+
+
 def test_derived_marginal_full_cluster_and_parent_choice():
     ms = gen_row_markov(Window(4, 4), seed=5).marginal_set()
     anchor = (2, 0)
@@ -135,17 +190,9 @@ def test_derived_marginal_shared_site_agrees_across_parents():
     region = ((2, 1),)
     parents = ms.parents_of(region)
     assert len(parents) == 4
-    canonical = ms.derived_marginal(region)  # cross-validates internally
+    canonical = ms.derived_marginal(region)  # read from the first parent alone
     for p in parents:
         assert trace_distance(partial_trace(ms.marginals[p], region), canonical) < 1e-10
-
-
-def test_derived_marginal_cross_validation_failure():
-    ms = gen_repetition_rows(Window(4, 3)).marginal_set()
-    bad = depolarize_marginal(ms, (2, 0), 1e-3)
-    # an in-row pair seen by both the clean and the depolarized parent
-    with pytest.raises(InconsistentMarginalsError):
-        bad.derived_marginal(((1, 0), (2, 0)))
 
 
 def test_derived_marginal_missing():

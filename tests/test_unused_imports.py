@@ -1,7 +1,9 @@
-"""Every name a module in ``src/`` or ``tests/`` imports is referenced in that module, and every module-level
-UPPER_CASE constant in ``src/`` is read somewhere in ``src/``, ``tests/`` or ``perfbench/``."""
+"""Every name a module in ``src/`` or ``tests/`` imports is referenced in that module, every module-level
+UPPER_CASE constant in ``src/`` is read somewhere in ``src/``, ``tests/`` or ``perfbench/``, and every exception class
+defined in ``src/`` is raised somewhere in ``src/``."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -43,6 +45,33 @@ def unread_constants(defining: dict[str, str], readers: list[str]) -> list[str]:
     return sorted(unread)
 
 
+def unraised_exceptions(defining: dict[str, str]) -> list[str]:
+    """``path:Class`` of each exception class the modules of ``defining`` define that none of them raises by name.
+
+    A class is an exception class when a base is a builtin exception or, by name, another such class of
+    ``defining``.
+    """
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    trees = {path: ast.parse(source) for path, source in defining.items()}
+    classes = [(path, node) for path, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    exceptions = {n for n, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    while True:
+        found = {node.name for _, node in classes if any(name(base) in exceptions for base in node.bases)}
+        if found <= exceptions:
+            break
+        exceptions |= found
+    raised = {
+        name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    return sorted(f"{path}:{node.name}" for path, node in classes if node.name in exceptions - raised)
+
+
 def test_the_scan_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nimport numpy as np\nfrom math import pi, tau\n"
     source += "np.sqrt(pi)\n"
@@ -58,6 +87,16 @@ def test_the_scan_finds_an_unread_constant():
     assert unread_constants(defining, readers) == ["a.py:LEFTOVER", "b.py:MAX_2"]
 
 
+def test_the_scan_finds_an_unraised_exception():
+    defining = {
+        "a.py": "class UsedError(ValueError):\n    pass\nclass ChildError(UsedError):\n    pass\n"
+                "class Plain:\n    pass\nclass Leftover(Exception):\n    pass\n",
+        "b.py": "import a\nclass Attr(a.UsedError):\n    pass\ntry:\n    raise a.UsedError('x')\n"
+                "except ValueError as exc:\n    raise Attr from exc\nraise\n",
+    }
+    assert unraised_exceptions(defining) == ["a.py:ChildError", "a.py:Leftover"]
+
+
 def test_no_module_imports_a_name_it_never_uses():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in MODULES}
     assert {path: names for path, names in found.items() if names} == {}
@@ -67,3 +106,8 @@ def test_every_constant_in_src_is_read():
     defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
     readers = [p.read_text() for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     assert unread_constants(defining, readers) == []
+
+
+def test_every_exception_class_in_src_is_raised():
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert unraised_exceptions(defining) == []
