@@ -209,11 +209,7 @@ def cmd_reconstruct(args) -> int:
         extra["entropy"] = result.entropy
         extra["entropy_method"] = result.entropy_method
         # the merge weights are unitless and keep their values under --log-base
-        extra["step_cmis"] = [
-            {"shared_row": y, "residual": r * per_bit, "method": method,
-             "trace_before_renorm": info.trace_before_renorm, "negative_weight": info.negative_weight}
-            for (y, r, method), info in zip(result.step_cmis, result.merge_log)
-        ]
+        extra["step_cmis"] = [{**s._asdict(), "residual": s.residual * per_bit} for s in result.steps]
         if args.state_out:
             save_state(result.state, args.state_out)
         if not args.json:

@@ -27,7 +27,6 @@ from .lattice import (
     canonical_key,
     cluster_region,
     region_intersection,
-    region_union,
     rotate_pi_local,
 )
 from .operator_core import (
@@ -35,6 +34,7 @@ from .operator_core import (
     DensityOperator,
     StateError,
     _hermiticity_deviation,
+    cmi,
     entropy,
     partial_trace,
     trace_distance,
@@ -105,10 +105,6 @@ class CmCondition:
     A: Region
     B: Region
     C: Region
-
-    @property
-    def support(self) -> Region:
-        return region_union(self.A, self.B, self.C)
 
 
 def _embed_local(anchor: Vertex, local_sites) -> Region:
@@ -399,27 +395,11 @@ def check_markov_conditions(ms: MarginalSet, tol: float = 1e-8) -> CheckReport:
     """Evaluate all eight conditions on every inside cluster; residuals are CMI values in bits."""
     report = CheckReport()
     for anchor in ms.anchors():
-        marg = ms.marginals[anchor]
-        cache: dict[Region, float] = {}
-
-        def s(region: Region) -> float:
-            if not region:
-                return 0.0
-            if region not in cache:
-                cache[region] = entropy(partial_trace(marg, region))
-            return cache[region]
-
         for cond in c_m_conditions(anchor, ms.window):
-            residual = (
-                s(region_union(cond.A, cond.B))
-                + s(region_union(cond.B, cond.C))
-                - s(cond.B)
-                - s(cond.support)
-            )
             report.add(
                 f"cmi:{anchor[0]},{anchor[1]}:{cond.index}",
                 "cmi",
-                residual,
+                cmi(ms.marginals[anchor], cond.A, cond.B, cond.C),
                 tol,
                 anchor=list(anchor),
                 condition=cond.index,

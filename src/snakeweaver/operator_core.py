@@ -9,6 +9,12 @@ application (``apply_on_sites``) goes through it.  Reductions are validated,
 not symmetrized: one scales its input's deviation from Hermitian by up to
 d^(traced sites).  Operators are complex128; helpers drop to real arithmetic
 when the imaginary part is exactly zero.  Entropies and CMIs are in bits.
+
+Region entropies have one protocol: a provider answers ``region_entropy(region)``
+for a nonempty region.  ``DensityOperator``, ``MarginalSet`` and the oracle
+sources (``RowMarkovSource``, ``ProductSource``, ``StabilizerState``) do; ``cmi``
+and ``med`` read nothing else.  A ``DensityOperator`` computes each region's
+entropy once, as it computes its spectrum once.
 """
 
 from __future__ import annotations
@@ -139,6 +145,7 @@ class DensityOperator:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_eigvals_cache", None)
+        object.__setattr__(self, "_entropy_cache", {})
 
     @property
     def dim(self) -> int:
@@ -159,7 +166,11 @@ class DensityOperator:
             raise StateError(f"smallest eigenvalue {lo:.3e} is below -{SPECTRUM_TOL:.0e}")
 
     def region_entropy(self, region) -> float:
-        return entropy(partial_trace(self, region))
+        """Entropy in bits of the reduction to ``region``, computed once per region (operators are immutable)."""
+        region = as_region(region)
+        if region not in self._entropy_cache:
+            self._entropy_cache[region] = entropy(partial_trace(self, region))
+        return self._entropy_cache[region]
 
 
 def _require_same_support(a: DensityOperator, b: DensityOperator) -> None:
@@ -260,11 +271,14 @@ def entropy(op: DensityOperator) -> float:
     return _entropy_from_eigs(op.eigenvalues())
 
 
-def cmi(op: DensityOperator, A, B, C) -> float:
+def cmi(provider, A, B, C) -> float:
     """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC), in bits.
 
-    A and C must be nonempty; B may be empty, which gives the plain mutual
-    information.  Symmetric in A and C term by term.
+    ``provider`` is anything with ``region_entropy`` (see the module docstring);
+    a ``DensityOperator`` reduces each region from its own matrix and caches
+    the entropy, so CMIs that share regions share their spectra.  A and C must
+    be nonempty; B may be empty, which gives the plain mutual information.
+    Symmetric in A and C term by term.
     """
     A, B, C = as_region(A), as_region(B), as_region(C)
     if not A or not C:
@@ -272,12 +286,10 @@ def cmi(op: DensityOperator, A, B, C) -> float:
     sa, sb, sc = set(A), set(B), set(C)
     if sa & sb or sa & sc or sb & sc:
         raise GeometryError("A, B, C must be pairwise disjoint")
-    sub = partial_trace(op, region_union(A, B, C))
-    s_ab = entropy(partial_trace(sub, region_union(A, B)))
-    s_bc = entropy(partial_trace(sub, region_union(B, C)))
-    s_b = entropy(partial_trace(sub, B)) if B else 0.0
-    s_abc = entropy(sub)
-    return s_ab + s_bc - s_b - s_abc
+    s_ab = provider.region_entropy(region_union(A, B))
+    s_bc = provider.region_entropy(region_union(B, C))
+    s_b = provider.region_entropy(B) if B else 0
+    return s_ab + s_bc - s_b - provider.region_entropy(region_union(A, B, C))
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

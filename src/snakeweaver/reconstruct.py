@@ -42,20 +42,22 @@ logger = logging.getLogger("snakeweaver.reconstruct")
 
 
 class MergeStep(NamedTuple):
-    """A step's merge: its overlap, its trace before renormalization and the weight below zero of tau_AB and tau_BC."""
-    overlap: Region
+    """One merge step: the shared row y, its residual in bits and how it was taken ("bound" or "exact"), the merge's
+    trace before renormalization and the weight below zero of tau_AB and tau_BC."""
+    shared_row: int
+    residual: float
+    method: str
     trace_before_renorm: float
     negative_weight: float
 
 
 @dataclass
 class ReconstructionResult:
-    """Entropy, checks and merge log of a reconstruction; ``state`` merges ``last_merge`` once, when first read."""
+    """Entropy, checks and merge steps of a reconstruction; ``state`` merges ``last_merge`` once, when first read."""
     entropy: float                                  # bits
     entropy_method: str                             # "chain" (certified upper bound) or "exact" (dense spectrum)
-    step_cmis: list = field(default_factory=list)   # (shared_row_y, residual in bits, "bound"/"exact") per merge
+    steps: list = field(default_factory=list)       # MergeStep per merge, read from its reductions
     marginal_report: CheckReport = field(default_factory=CheckReport)
-    merge_log: list = field(default_factory=list)   # MergeStep per merge, read from its reductions
     last_merge: tuple = ()                          # (sigma, strip) whose right-merge is the state
     _state: DensityOperator | None = field(default=None, repr=False)
 
@@ -90,7 +92,7 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     reduction call per step, so no spectrum of the whole window is taken and
     the dense tau is formed only to carry sigma on (that call's union reduction,
     as it is), for the exact path, or when ``state`` is read.  A step whose merge
-    drops, or whose tau_AB and tau_BC hold as negative eigenvalues (``merge_log``
+    drops, or whose tau_AB and tau_BC hold as negative eigenvalues (``steps``
     keeps both weights), more than TRACE_TOL of weight (the channel argument needs
     none lost), or whose bound exceeds ``tol``, records the exact CMI instead; if
     last, the entropy is the exact spectral entropy of the state.  A fidelity
@@ -104,7 +106,7 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
 
     sigma = build_snake(ms, SnakeSpec(2, (0, 0), (window.width - 1, 0)))
     clusters = [cluster_region(anchor, 3, 3) for anchor in ms.anchors()]
-    step_cmis, merge_log = [], []
+    steps = []
     for y in range(1, window.height - 1):
         last = y == window.height - 2
         strip = build_snake(ms, SnakeSpec(2, (0, y), (window.width - 1, y)))
@@ -114,16 +116,16 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
         (tau_ab, tau_bc, *rest), trace = right_merge_marginals(sigma, strip, keeps)
         bound = cmi(sigma, a, (), b) - cmi(tau_ab, a, (), b)
         negative = float(sum(-w[w < 0.0].sum() for w in (tau_ab.eigenvalues(), tau_bc.eigenvalues())))
-        merge_log.append(MergeStep(b, trace, negative))
         exact = abs(trace - 1.0) > TRACE_TOL or negative > TRACE_TOL or bound > tol
         last_merge, tau = (sigma, strip), None
         if not last:
             sigma = tau = rest.pop()
         elif exact:
             tau = right_merge_info(sigma, strip)[0]
-        step_cmis.append((y, float(cmi(tau, a, b, c)), "exact") if exact else (y, float(bound), "bound"))
+        residual, how = (cmi(tau, a, b, c), "exact") if exact else (bound, "bound")
+        steps.append(MergeStep(y, float(residual), how, trace, negative))
 
-    if step_cmis[-1][2] == "bound":  # the bound and the weight test above cached tau_ab's and tau_bc's spectra
+    if steps[-1].method == "bound":  # the bound and the weight test above cached tau_ab's and tau_bc's spectra
         s_total, method = entropy(tau_ab) + entropy(tau_bc) - entropy(partial_trace(tau_bc, b)), "chain"
     else:
         s_total, method = entropy(tau), "exact"
@@ -142,9 +144,8 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     return ReconstructionResult(
         entropy=float(s_total),
         entropy_method=method,
-        step_cmis=step_cmis,
+        steps=steps,
         marginal_report=marginal_report,
-        merge_log=merge_log,
         last_merge=last_merge,
         _state=tau,
     )

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from snakeweaver.lattice import as_region, cluster_region, region_intersection
+from snakeweaver.lattice import as_region, cluster_region, region_intersection, region_union
 from snakeweaver.marginal_store import (
     CheckReport,
     MarginalFileError,
@@ -16,7 +16,7 @@ from snakeweaver.marginal_store import (
     check_local_consistency,
     check_markov_conditions,
 )
-from snakeweaver.operator_core import DensityOperator, partial_trace, trace_distance
+from snakeweaver.operator_core import DensityOperator, _eigvalsh as eigvalsh, cmi, partial_trace, trace_distance
 from snakeweaver.oracles import (
     depolarize_marginal,
     gen_product,
@@ -34,7 +34,7 @@ def test_condition_table_first_diagram():
     assert first.A == ((1, 0),)
     assert first.B == ((0, 0),)
     assert first.C == ((0, 1),)
-    assert len(first.support) == 3  # this condition touches three sites only
+    assert len(first.A + first.B + first.C) == 3  # this condition touches three sites only
 
 
 def test_condition_table_rotations():
@@ -61,6 +61,30 @@ def test_condition_count_scales_with_window():
     w = Window(5, 4)
     total = sum(len(c_m_conditions(a, w)) for a in w.cluster_anchors())
     assert total == 8 * (w.width - 2) * (w.height - 2)
+
+
+def test_markov_checks_take_one_spectrum_per_distinct_region_per_cluster(monkeypatch):
+    ms = gen_row_markov(Window(4, 4), seed=1).marginal_set()
+    spectra = []
+
+    def counting(mat):
+        spectra.append(mat.shape[0])
+        return eigvalsh(mat)
+
+    monkeypatch.setattr("snakeweaver.operator_core._eigvalsh", counting)
+    check_markov_conditions(ms)
+    regions = {
+        a: {r for c in c_m_conditions(a) for r in (region_union(c.A, c.B), region_union(c.B, c.C), c.B,
+                                                 region_union(c.A, c.B, c.C))}
+        for a in ms.anchors()
+    }
+    assert len(spectra) == sum(map(len, regions.values())) == 4 * len(regions[(2, 0)])
+    # every later CMI of those regions reads the entropies the operators cached
+    check_markov_conditions(ms)
+    for a in ms.anchors():
+        for cond in c_m_conditions(a):
+            cmi(ms.marginals[a], cond.A, cond.B, cond.C)
+    assert len(spectra) == sum(map(len, regions.values()))
 
 
 def test_markov_checks_pass_on_oracle_sources():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from snakeweaver.lattice import GeometryError, as_region, site_path
+from snakeweaver.lattice import GeometryError, as_region, region_union, site_path
 from snakeweaver.operator_core import (
     DensityOperator,
     DimensionGuardError,
@@ -32,10 +32,13 @@ from snakeweaver.oracles import (
     ClassicalChain,
     RowMarkovSource,
     basis_state,
+    gen_product,
     gen_row_markov,
+    ghz_stabilizer,
     ghz_state,
     maximally_mixed,
     random_state,
+    repetition_rows,
 )
 
 R1 = as_region([(0, 0)])
@@ -186,6 +189,27 @@ def test_cmi_rejects_overlap():
         cmi(op, [(0, 0)], [(0, 0)], [(2, 0)])
     with pytest.raises(GeometryError):
         cmi(op, [(0, 0)], [], [])
+
+
+def test_cmi_reads_every_entropy_provider():
+    A, B, C = [[(i, 0)] for i in range(3)]
+    # stabilizer entropies are integers, and so is every CMI of them
+    rep = repetition_rows(Window(3, 2))
+    for triple, want in (((A, B, C), 0), ((A, [], C), 1), ((A, [], [(0, 1)]), 0), ((A + B, [], [(2, 1)]), 0)):
+        got = cmi(rep, *triple)
+        assert got == want and isinstance(got, int)
+    ghz = cmi(ghz_stabilizer(R3), A, B, C)
+    assert ghz == 1 and isinstance(ghz, int)
+    # a generator source's exact classical entropies give the CMI of its dense marginal
+    src = gen_row_markov(Window(3, 3), seed=1, orientation="columns")
+    for a, b, c in ((A, [], [(1, 0)]), ([(0, 0)], [(0, 1)], [(0, 2)]), ([(0, 0), (1, 1)], [(1, 0)], [(2, 0), (2, 2)])):
+        dense = src.marginal(region_union(a, b, c))
+        assert cmi(src, a, b, c) == pytest.approx(cmi(dense, a, b, c), abs=1e-12)
+    assert cmi(gen_product(Window(3, 3), seed=2), A + [(0, 1)], B, C + [(2, 2)]) == pytest.approx(0.0, abs=1e-12)
+    # a marginal set reduces a region of the cluster at (2, 0), its first parent, from that cluster's marginal
+    ms = gen_row_markov(Window(4, 4), seed=3).marginal_set()
+    for a, b, c in ((A, B, C), ([(0, 0), (0, 1)], [(1, 1)], [(2, 1), (2, 2)]), ([(1, 2)], [], [(2, 0)])):
+        assert cmi(ms, a, b, c) == cmi(ms.marginals[(2, 0)], a, b, c)
 
 
 def test_trace_distance_examples():

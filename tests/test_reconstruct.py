@@ -63,8 +63,8 @@ def test_reconstruct_product_marginals():
     assert res.state._eigvals_cache is None  # no spectrum of the whole window was taken
     assert res.marginal_report.passed
     assert trace_distance(res.state, src.global_state()) < 1e-10
-    assert [m for _, _, m in res.step_cmis] == ["bound"] and res.entropy_method == "chain"
-    assert max(abs(r) for _, r, _ in res.step_cmis) < 1e-12
+    assert [s.method for s in res.steps] == ["bound"] and res.entropy_method == "chain"
+    assert max(abs(s.residual) for s in res.steps) < 1e-12
     # the exact sum of site entropies; the dense spectrum matches it too, now that its smallest
     # eigenvalues (down to 2e-13 of the largest) count
     assert res.entropy == pytest.approx(src.region_entropy(ms.window.sites()), abs=1e-12)
@@ -98,11 +98,11 @@ def test_chain_entropy_matches_the_dense_spectrum(height, orientation, seed):
     assert np.array_equal(res.state.matrix, dense.matrix)
     assert res.entropy_method == "chain"
     assert res.entropy == pytest.approx(entropy(dense), abs=1e-9)
-    assert len(res.step_cmis) == len(steps) == height - 2
-    for (y, residual, method), (bound, exact) in zip(res.step_cmis, steps):
-        assert method == "bound"
+    assert len(res.steps) == len(steps) == height - 2
+    for step, (bound, exact) in zip(res.steps, steps):
+        assert step.method == "bound"
         # both are rounding of an exact zero, at the scale of a 64- to 512-dim spectrum
-        assert residual == pytest.approx(bound, abs=1e-13)
+        assert step.residual == pytest.approx(bound, abs=1e-13)
         assert bound >= exact - 1e-12
 
 
@@ -120,7 +120,7 @@ def test_the_dense_state_is_formed_once_and_only_when_read(monkeypatch):
     assert not any(full)
     assert res.state is res.state
     assert full == [True]
-    assert [info.overlap for info in res.merge_log] == [as_region([(x, 1) for x in range(4)])]
+    assert [step.shared_row for step in res.steps] == [1]
 
 
 def test_a_random_pure_state_takes_the_exact_path():
@@ -132,14 +132,15 @@ def test_a_random_pure_state_takes_the_exact_path():
     res = reconstruct_global(ms)
     [(bound, exact)], dense = _replay_steps(ms)
     assert 0.1 < bound < 0.3 and 0.05 < exact < 0.1  # the bound holds but is far above tol
-    assert res.step_cmis == [(1, exact, "exact")]
+    [step] = res.steps
+    assert step[:3] == (1, exact, "exact")
     assert res.entropy_method == "exact"
     assert res.entropy == entropy(dense)
     # rho_B has full rank and the weight test passes, yet Tr_C of the Petz map is not the identity on B: the merge
     # moves sigma_AB, so neither certifies the step without the bound over the whole of A
     sigma, strip = res.last_merge
-    [step] = res.merge_log
-    w_b = np.linalg.eigvalsh(partial_trace(strip, step.overlap).matrix)
+    overlap = as_region([(x, step.shared_row) for x in range(window.width)])
+    w_b = np.linalg.eigvalsh(partial_trace(strip, overlap).matrix)
     assert w_b[0] > EIG_CLIP_REL * w_b[-1]
     assert abs(step.trace_before_renorm - 1.0) <= TRACE_TOL and step.negative_weight <= TRACE_TOL
     [tau_ab], _ = right_merge_marginals(sigma, strip, [sigma.region])

@@ -1,6 +1,6 @@
 """Every name a module in ``src/`` or ``tests/`` imports is referenced in that module, every module-level
-UPPER_CASE constant in ``src/`` is read somewhere in ``src/``, ``tests/`` or ``perfbench/``, and every exception class
-defined in ``src/`` is raised somewhere in ``src/``."""
+UPPER_CASE constant and every function, method and property in ``src/`` is read somewhere in ``src/``, ``tests/`` or
+``perfbench/``, and every exception class defined in ``src/`` is raised somewhere in ``src/``."""
 
 import ast
 import builtins
@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # a package's __init__ imports names to re-export them
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*\Z")
+DUNDER = re.compile(r"__\w+__\Z")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -72,6 +73,37 @@ def unraised_exceptions(defining: dict[str, str]) -> list[str]:
     return sorted(f"{path}:{node.name}" for path, node in classes if node.name in exceptions - raised)
 
 
+def unreferenced_functions(defining: dict[str, str], readers: list[str]) -> list[str]:
+    """``path:name`` of each function, method or property the modules of ``defining`` define that no source of
+    ``readers`` names outside a definition of that name: as a bare name, an attribute or an imported name.
+
+    The scan goes by name, so one reference covers every definition of that name.  Dunder methods are exempt; the
+    language calls them.
+    """
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    named = set()
+
+    def visit(node, inside):
+        if isinstance(node, funcs):
+            inside = inside | {node.name}
+        ref = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            ref = node.name.split(".")[-1]
+        if ref and ref not in inside:
+            named.add(ref)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for source in readers:
+        visit(ast.parse(source), frozenset())
+    return sorted(
+        f"{path}:{node.name}"
+        for path, source in defining.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, funcs) and not DUNDER.match(node.name) and node.name not in named
+    )
+
+
 def test_the_scan_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nimport numpy as np\nfrom math import pi, tau\n"
     source += "np.sqrt(pi)\n"
@@ -97,6 +129,17 @@ def test_the_scan_finds_an_unraised_exception():
     assert unraised_exceptions(defining) == ["a.py:ChildError", "a.py:Leftover"]
 
 
+def test_the_scan_finds_an_unreferenced_function():
+    defining = {
+        "a.py": "def used():\n    pass\ndef leftover():\n    return leftover()\nclass K:\n    def __init__(self):\n"
+                "        pass\n    @property\n    def prop(self):\n        return self.method\n"
+                "    def method(self):\n        return self.method()\n    def orphan(self):\n        pass\n",
+        "b.py": "from a import used as u\nu(K().prop)\n",
+    }
+    # K.prop names ``method`` outside its definition, so only orphan and the self-calling leftover are left
+    assert unreferenced_functions(defining, list(defining.values())) == ["a.py:leftover", "a.py:orphan"]
+
+
 def test_no_module_imports_a_name_it_never_uses():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in MODULES}
     assert {path: names for path, names in found.items() if names} == {}
@@ -111,3 +154,11 @@ def test_every_constant_in_src_is_read():
 def test_every_exception_class_in_src_is_raised():
     defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
     assert unraised_exceptions(defining) == []
+
+
+def test_every_function_in_src_is_referenced():
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    # a re-export in a package's __init__ is not a use
+    readers = [p.read_text() for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
+               if p.name != "__init__.py"]
+    assert unreferenced_functions(defining, readers) == []
