@@ -36,7 +36,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_GUARD = 3
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _STATE_FILE = "uncompressed .npz container with members format_version, local_dim, region (n,2) and matrix"
 
@@ -106,7 +106,9 @@ def _parse_tolerance(text: str) -> float:
 def _add_tolerances(parser: argparse.ArgumentParser) -> None:
     """Check tolerances of the commands that run the consistency and Markov checks."""
     for flag, what in (("--tol-cmi", "CMI tolerance in the --log-base unit"),
-                       ("--tol-consistency", "overlap trace-distance tolerance")):
+                       ("--tol-consistency", "overlap trace-distance tolerance; a record holds the Frobenius upper "
+                        "bound 1/2 sqrt(D) ||X||_F on the distance when it passes, else the exact distance, and its "
+                        "detail names the method")):
         parser.add_argument(flag, type=_parse_tolerance, default=1e-8, help=f"{what} (default 1e-8)")
 
 

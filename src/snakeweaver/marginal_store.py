@@ -34,10 +34,10 @@ from .operator_core import (
     DensityOperator,
     StateError,
     _hermiticity_deviation,
+    certified_trace_distance,
     cmi,
     entropy,
     partial_trace,
-    trace_distance,
 )
 
 FORMAT_VERSION = 2
@@ -122,9 +122,6 @@ def c_m_conditions(anchor, window: Window | None = None) -> list[CmCondition]:
         for idx, parts in enumerate(_CM_BASE):
             a, b, c = (_embed_local(anchor, [turn(p) for p in part]) for part in parts)
             out.append(CmCondition(anchor, idx + offset, a, b, c))
-    for cond in out:
-        sa, sb, sc = set(cond.A), set(cond.B), set(cond.C)
-        assert not (sa & sb or sa & sc or sb & sc), "condition table produced overlapping parts"
     return out
 
 
@@ -158,6 +155,12 @@ class CheckReport:
         rec = CheckRecord(check_id, kind, float(residual), float(tol), float(residual) <= float(tol), detail)
         self.records.append(rec)
         return rec
+
+    def add_distance(self, check_id: str, kind: str, a: DensityOperator, b: DensityOperator, tol: float,
+                     **detail) -> CheckRecord:
+        """Record ``certified_trace_distance(a, b, tol)``; its method is the last detail key."""
+        distance, method = certified_trace_distance(a, b, tol)
+        return self.add(check_id, kind, distance, tol, **detail, method=method)
 
     @property
     def passed(self) -> bool:
@@ -420,6 +423,12 @@ def check_local_consistency(
 ) -> CheckReport:
     """Trace distance of overlap reductions for adjacent cluster pairs, or for every overlapping pair.
 
+    Each residual is ``certified_trace_distance`` at ``tol``, as in every
+    record that compares a trace distance with a tolerance
+    (``CheckReport.add_distance``): the Frobenius upper bound when it passes,
+    else the exact distance.  So a pass is the exact verdict, a failing record
+    holds the exact distance, and ``detail.method`` says which.
+
     Adjacent pairs bound the rest only up to a factor: two overlapping clusters
     (dx, dy) apart are linked through |dx| + |dy| adjacent steps whose clusters
     all contain their overlap; by monotonicity of the trace distance under
@@ -437,14 +446,11 @@ def check_local_consistency(
             if b not in ms.marginals:
                 continue
             overlap = region_intersection(cluster_region(a, 3, 3), cluster_region(b, 3, 3))
-            dist = trace_distance(
-                partial_trace(ms.marginals[a], overlap),
-                partial_trace(ms.marginals[b], overlap),
-            )
-            report.add(
+            report.add_distance(
                 f"consistency:{a[0]},{a[1]}|{b[0]},{b[1]}",
                 "consistency",
-                dist,
+                partial_trace(ms.marginals[a], overlap),
+                partial_trace(ms.marginals[b], overlap),
                 tol,
                 anchors=[list(a), list(b)],
                 overlap=_region_json(overlap),

@@ -20,6 +20,7 @@ from .operator_core import (
     DensityOperator,
     StateError,
     apply_on_sites,
+    certified_trace_distance,
     check_dim_guard,
     cmi,
     partial_trace,
@@ -174,8 +175,9 @@ def is_markov_via_recovery(
 ) -> MarkovCheck:
     """Petz test: does recovering from the AB marginal through B reproduce the state?
 
-    The residual is the trace distance between ``op`` (reduced to A+B+C) and
-    right_merge(op_AB, op_BC); the conditional mutual information is returned
+    The residual is the exact trace distance between ``op`` (reduced to A+B+C)
+    and right_merge(op_AB, op_BC), since a non-Markov state must show it large,
+    which no upper bound can; the conditional mutual information is returned
     alongside as a cross-check since both vanish together.
     """
     A, B, C = as_region(A), as_region(B), as_region(C)
@@ -218,7 +220,7 @@ def merging_lemma_combine(
     if not A or not D:
         raise GeometryError("each operand must contribute at least one site outside the overlap")
 
-    overlap_dist = trace_distance(partial_trace(rho, bc), partial_trace(sigma, bc))
+    overlap_dist, _ = certified_trace_distance(partial_trace(rho, bc), partial_trace(sigma, bc), tol)
     if overlap_dist > tol:
         raise MergePreconditionError(f"operands disagree on the overlap: trace distance {overlap_dist:.3e}")
     i_rho = cmi(rho, A, B, C)

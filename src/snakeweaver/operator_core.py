@@ -15,6 +15,11 @@ for a nonempty region.  ``DensityOperator``, ``MarginalSet`` and the oracle
 sources (``RowMarkovSource``, ``ProductSource``, ``StabilizerState``) do; ``cmi``
 and ``med`` read nothing else.  A ``DensityOperator`` computes each region's
 entropy once, as it computes its spectrum once.
+
+A trace distance compared with a tolerance has one rule,
+``certified_trace_distance``: the Frobenius upper bound when it passes, the
+exact distance otherwise, so the verdict is the exact one.  ``trace_distance``
+alone is for a distance that must be shown large, which no upper bound can.
 """
 
 from __future__ import annotations

@@ -245,9 +245,7 @@ class RowMarkovSource:
         region = as_region(region)
         if not region:
             return 0.0
-        p = self.probability_tensor(region).reshape(-1)
-        p = p[p > 1e-300]
-        return float(-(p * np.log(p)).sum() / np.log(2.0))
+        return _entropy_from_eigs(self.probability_tensor(region).reshape(-1))
 
     def marginal_set(self) -> MarginalSet:
         margs = {a: self.marginal(cluster_region(a, 3, 3)) for a in self.window.cluster_anchors()}

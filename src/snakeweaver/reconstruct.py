@@ -28,13 +28,11 @@ from .merge import right_merge_info, right_merge_marginals
 from .operator_core import (
     TRACE_TOL,
     DensityOperator,
-    certified_trace_distance,
     check_dim_guard,
     cmi,
     entropy,
     med,
     partial_trace,
-    trace_distance,
 )
 from .snakes import SnakeSpec, build_snake
 
@@ -96,10 +94,9 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     keeps both weights), more than TRACE_TOL of weight (the channel argument needs
     none lost), or whose bound exceeds ``tol``, records the exact CMI instead; if
     last, the entropy is the exact spectral entropy of the state.  A fidelity
-    record holds the upper bound 1/2 sqrt(D) ||tau_cluster - marginal||_F on the
-    cluster's trace distance when that bound is at most ``tol``, and the exact
-    trace distance otherwise; its ``method`` detail says which
-    (``certified_trace_distance``).
+    record is ``CheckReport.add_distance`` of tau's cluster and the marginal at
+    ``tol``: the Frobenius upper bound on their trace distance when it passes,
+    the exact distance otherwise, and its ``method`` detail says which.
     """
     window = ms.window
     check_dim_guard(ms.local_dim ** (window.width * window.height))
@@ -132,14 +129,9 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
 
     marginal_report = CheckReport()
     for anchor, marginal in zip(ms.anchors(), rest):
-        distance, how = certified_trace_distance(marginal, ms.marginals[anchor], tol)
-        marginal_report.add(
-            f"marginal-fidelity:{anchor[0]},{anchor[1]}",
-            "marginal_fidelity",
-            distance,
-            tol,
+        marginal_report.add_distance(
+            f"marginal-fidelity:{anchor[0]},{anchor[1]}", "marginal_fidelity", marginal, ms.marginals[anchor], tol,
             anchor=list(anchor),
-            method=how,
         )
     return ReconstructionResult(
         entropy=float(s_total),
@@ -240,11 +232,11 @@ def uniqueness_certificate(
     for k, block in enumerate(blocks):
         cond = tuple(v for v in region_neighborhood(block) if v in seen)
         region = region_union(block, cond)
-        dist = trace_distance(partial_trace(rho, region), partial_trace(sigma, region))
-        report.add(
+        report.add_distance(
             f"marginal-match:{k}",
             "marginal_match",
-            dist,
+            partial_trace(rho, region),
+            partial_trace(sigma, region),
             tol,
             region=_region_json(region),
         )
@@ -264,14 +256,7 @@ def uniqueness_certificate(
         gap_nats = math.log(2.0) * (med(tau, blocks) - 0.5 * (s_rho + s_sigma))
         gap_nats = max(float(gap_nats), 0.0)
         bound = math.sqrt(8.0 * gap_nats) + tol
-        actual = trace_distance(rho, sigma)
-        report.add(
-            "distance-bound",
-            "distance_bound",
-            actual,
-            bound,
-            jensen_gap_nats=gap_nats,
-        )
+        report.add_distance("distance-bound", "distance_bound", rho, sigma, bound, jensen_gap_nats=gap_nats)
     else:
         logger.info("uniqueness hypotheses fail; no distance claim is made")
     return report

@@ -35,7 +35,6 @@ from .operator_core import (
     cmi,
     med,
     partial_trace,
-    trace_distance,
 )
 
 _VARIANTS = ("plain", "flat_up", "flat_down", "hooked_up", "hooked_down")
@@ -104,30 +103,20 @@ def _merge_plan(spec: SnakeSpec) -> list[Region]:
     low = spec.level - 1
     if spec.variant == "flat_up":
         plan = plain_factor_regions(low, v, u)
-        row = vy if spec.level == 2 else vy + 1
-        plan += [cluster_region((v[0] + i, row), 2, 2) for i in range(1, span + 1)]
+        plan += [cluster_region((v[0] + i, vy + low - 1), 2, 2) for i in range(1, span + 1)]
         return plan
     if spec.variant == "flat_down":
         plan = plain_factor_regions(low, (v[0], vy + 1), (u[0], vy + 1))
         plan += [cluster_region((u[0] - i, vy), 2, 2) for i in range(span)]
         return plan
     if spec.variant == "hooked_up":
-        if spec.level == 2:
-            base = as_region([v, (v[0] + 1, vy), (v[0], vy + 1)])
-            lower = [cluster_region((v[0] + i, vy), 2, 1) for i in range(2, span + 1)]
-            flat = [cluster_region((v[0] + i, vy), 2, 2) for i in range(1, span + 1)]
-        else:
-            base = region_union(cluster_region((v[0] + 1, vy), 2, 2), [(v[0], vy + 2)])
-            lower = [cluster_region((v[0] + i, vy), 2, 2) for i in range(2, span + 1)]
-            flat = [cluster_region((v[0] + i, vy + 1), 2, 2) for i in range(1, span + 1)]
+        base = region_union(cluster_region((v[0] + 1, vy), 2, low), [(v[0], vy + low)])
+        lower = [cluster_region((v[0] + i, vy), 2, low) for i in range(2, span + 1)]
+        flat = [cluster_region((v[0] + i, vy + low - 1), 2, 2) for i in range(1, span + 1)]
         return [base] + lower + flat
     # hooked_down: the pi-rotated construction, seeded at the right end
-    if spec.level == 2:
-        base = as_region([u, (u[0], vy + 1), (u[0] - 1, vy + 1)])
-        lower = [cluster_region((u[0] - i, vy + 1), 2, 1) for i in range(1, span)]
-    else:
-        base = region_union(cluster_region((u[0], vy + 1), 2, 2), [u])
-        lower = [cluster_region((u[0] - i, vy + 1), 2, 2) for i in range(1, span)]
+    base = region_union(cluster_region((u[0], vy + 1), 2, low), [u])
+    lower = [cluster_region((u[0] - i, vy + 1), 2, low) for i in range(1, span)]
     flat = [cluster_region((u[0] - i, vy), 2, 2) for i in range(span)]
     return [base] + lower + flat
 
@@ -173,10 +162,11 @@ def verify_is_snake(ms: MarginalSet, spec: SnakeSpec, tol: float = 1e-8) -> Chec
         a_only = region_difference(left.region, overlap)
         c_only = region_difference(right.region, overlap)
         pair_id = f"{i}-{i + 1}"
-        report.add(
+        report.add_distance(
             f"snake-consistency:{pair_id}",
             "consistency",
-            trace_distance(partial_trace(left, overlap), partial_trace(right, overlap)),
+            partial_trace(left, overlap),
+            partial_trace(right, overlap),
             tol,
             pair=[_region_json(left.region), _region_json(right.region)],
         )
@@ -191,11 +181,11 @@ def verify_is_snake(ms: MarginalSet, spec: SnakeSpec, tol: float = 1e-8) -> Chec
             B=_region_json(overlap),
             C=_region_json(c_only),
         )
-        merged = right_merge(left, right)
-        report.add(
+        report.add_distance(
             f"snake-merge-identity:{pair_id}",
             "merge_identity",
-            trace_distance(merged, derived_union),
+            right_merge(left, right),
+            derived_union,
             tol,
             support=_region_json(union),
         )
@@ -219,20 +209,11 @@ def split_check(ms: MarginalSet, level: int, v, u, t, tol: float = 1e-7) -> Chec
     left = build_snake(ms, SnakeSpec(level, v, u))
     right = build_snake(ms, SnakeSpec(level, u, t))
     report = CheckReport()
-    report.add(
-        "split:left-then-right",
-        "split",
-        trace_distance(whole, right_merge(left, right)),
-        tol,
-        level=level, v=list(v), u=list(u), t=list(t),
-    )
-    report.add(
-        "split:right-then-left",
-        "split",
-        trace_distance(whole, right_merge(right, left)),
-        tol,
-        level=level, v=list(v), u=list(u), t=list(t),
-    )
+    for name, first, second in (("left-then-right", left, right), ("right-then-left", right, left)):
+        report.add_distance(
+            f"split:{name}", "split", whole, right_merge(first, second), tol,
+            level=level, v=list(v), u=list(u), t=list(t),
+        )
     return report
 
 
@@ -246,22 +227,11 @@ def level_drop_check(ms: MarginalSet, v, u, tol: float = 1e-7) -> CheckReport:
     v, u = as_vertex(v), as_vertex(u)
     line = build_snake(ms, SnakeSpec(1, v, u))
     report = CheckReport()
-    upper = build_snake(ms, SnakeSpec(2, v, u))
-    report.add(
-        "level-drop:trace-top",
-        "level_drop",
-        trace_distance(partial_trace(upper, line.region), line),
-        tol,
-        v=list(v), u=list(u),
-    )
-    below = build_snake(ms, SnakeSpec(2, (v[0], v[1] - 1), (u[0], u[1] - 1)))
-    report.add(
-        "level-drop:trace-bottom",
-        "level_drop",
-        trace_distance(partial_trace(below, line.region), line),
-        tol,
-        v=list(v), u=list(u),
-    )
+    for name, row in (("trace-top", v[1]), ("trace-bottom", v[1] - 1)):
+        strip = build_snake(ms, SnakeSpec(2, (v[0], row), (u[0], row)))
+        report.add_distance(
+            f"level-drop:{name}", "level_drop", partial_trace(strip, line.region), line, tol, v=list(v), u=list(u)
+        )
     return report
 
 
@@ -281,10 +251,11 @@ def snake_marginal_report(
             region = cluster_region((x, spec.v[1]), n, m)
             if not set(region) <= support:
                 continue
-            report.add(
+            report.add_distance(
                 f"snake-marginal:{n}x{m}@{x},{spec.v[1]}",
                 "marginal_fidelity",
-                trace_distance(partial_trace(state, region), ms.derived_marginal(region)),
+                partial_trace(state, region),
+                ms.derived_marginal(region),
                 tol,
                 region=_region_json(region),
             )

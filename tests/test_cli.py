@@ -38,7 +38,7 @@ def test_check_json_report(row_file, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert run("check", str(row_file), "--json", "--report", str(report_path)) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["command"] == "check"
     assert payload["checks"]["markov"]["passed"] is True
     assert payload["checks"]["markov"]["summary"]["cmi"]["checks"] == 8

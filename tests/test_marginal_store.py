@@ -126,6 +126,8 @@ def test_consistency_localizes_depolarized_marginal():
     # both land inside the advertised 7.5e-4 +- 50% envelope
     for check_id in failing:
         assert 3.75e-4 <= by_id[check_id] <= 1.125e-3
+    # a failing record holds the exact distance; a passing one may hold the Frobenius bound
+    assert {r.check_id for r in rep.records if r.detail["method"] == "exact"} == failing
 
 
 def test_consistency_vacuous_on_single_cluster():

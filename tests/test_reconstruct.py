@@ -13,6 +13,7 @@ from snakeweaver.operator_core import (
     TRACE_TOL,
     DensityOperator,
     DimensionGuardError,
+    certified_trace_distance,
     cmi,
     entropy,
     partial_trace,
@@ -62,7 +63,7 @@ def test_reconstruct_product_marginals():
     res = reconstruct_global(ms)
     assert res.state._eigvals_cache is None  # no spectrum of the whole window was taken
     assert res.marginal_report.passed
-    assert trace_distance(res.state, src.global_state()) < 1e-10
+    assert certified_trace_distance(res.state, src.global_state(), 1e-10)[0] < 1e-10
     assert [s.method for s in res.steps] == ["bound"] and res.entropy_method == "chain"
     assert max(abs(s.residual) for s in res.steps) < 1e-12
     # the exact sum of site entropies; the dense spectrum matches it too, now that its smallest

@@ -1,6 +1,7 @@
 """Every name a module in ``src/`` or ``tests/`` imports is referenced in that module, every module-level
 UPPER_CASE constant and every function, method and property in ``src/`` is read somewhere in ``src/``, ``tests/`` or
-``perfbench/``, and every exception class defined in ``src/`` is raised somewhere in ``src/``."""
+``perfbench/``, every exception class defined in ``src/`` is raised somewhere in ``src/``, and only the two functions
+that need the exact value read ``trace_distance`` in ``src/``."""
 
 import ast
 import builtins
@@ -104,6 +105,26 @@ def unreferenced_functions(defining: dict[str, str], readers: list[str]) -> list
     )
 
 
+def functions_reading(defining: dict[str, str], target: str) -> list[str]:
+    """``path:function`` of each innermost function of ``defining`` that loads ``target`` as a bare name or an
+    attribute; a load outside every function is ``path:<module>``.  An import alone is not a load."""
+    found = set()
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == target) or (
+            isinstance(node, ast.Attribute) and node.attr == target
+        ):
+            found.add(f"{path}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path, source in defining.items():
+        visit(ast.parse(source), path, "<module>")
+    return sorted(found)
+
+
 def test_the_scan_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nimport numpy as np\nfrom math import pi, tau\n"
     source += "np.sqrt(pi)\n"
@@ -140,6 +161,15 @@ def test_the_scan_finds_an_unreferenced_function():
     assert unreferenced_functions(defining, list(defining.values())) == ["a.py:leftover", "a.py:orphan"]
 
 
+def test_the_scan_finds_every_reader_of_a_name():
+    defining = {
+        "a.py": "from m import exact\ndef certified(x):\n    return exact(x)\ndef record(x):\n    return certified(x)\n",
+        "b.py": "import m\ndef planted(x):\n    def inner():\n        return m.exact(x)\n    return inner\n"
+                "alias = exact\ndef exact(x):\n    pass\n",
+    }
+    assert functions_reading(defining, "exact") == ["a.py:certified", "b.py:<module>", "b.py:inner"]
+
+
 def test_no_module_imports_a_name_it_never_uses():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in MODULES}
     assert {path: names for path, names in found.items() if names} == {}
@@ -162,3 +192,13 @@ def test_every_function_in_src_is_referenced():
     readers = [p.read_text() for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
                if p.name != "__init__.py"]
     assert unreferenced_functions(defining, readers) == []
+
+
+def test_only_two_functions_in_src_read_trace_distance():
+    # every record that compares a trace distance with a tolerance goes through certified_trace_distance, whose
+    # fallback is exact; is_markov_via_recovery's residual must be shown large, which no upper bound can
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert functions_reading(defining, "trace_distance") == [
+        "src/snakeweaver/merge.py:is_markov_via_recovery",
+        "src/snakeweaver/operator_core.py:certified_trace_distance",
+    ]
