@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 
 from .lattice import GeometryError
@@ -36,7 +37,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_GUARD = 3
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _STATE_FILE = "uncompressed .npz container with members format_version, local_dim, region (n,2) and matrix"
 
@@ -138,8 +139,10 @@ def _probe_outputs(args) -> None:
 
 
 def _emit(args, payload: dict) -> None:
+    """Write ``payload`` with the process's peak resident set so far, ``peak_rss_mb`` (``ru_maxrss``, kB on Linux)."""
+    payload["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     text = json.dumps(payload, indent=2)
-    if args.report:
+    if getattr(args, "report", None):
         with open(args.report, "w") as fh:
             fh.write(text)
     if args.json:
@@ -289,7 +292,9 @@ def cmd_generate(args) -> int:
     ms.save(args.out)
     if args.global_out:
         save_state(state, args.global_out)
-    if not args.json:
+    if args.json:
+        _emit(args, {"schema_version": SCHEMA_VERSION, "command": "generate"})
+    else:
         print(f"wrote {args.kind} marginals for a {args.width}x{args.height} window to {args.out}")
     return EXIT_OK
 
@@ -372,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-3, help="depolarization strength in [0, 1] for kind=depolarized")
     p.add_argument("--anchor", type=int, nargs=2, default=None, help="anchor to depolarize")
     p.add_argument("--seed", type=int, default=0)
-    _add_run_options(p, "only suppress the banner; generate writes files and prints no report")
+    _add_run_options(p, "print a machine-readable report (schema_version, command, peak_rss_mb) instead of the banner")
     p.set_defaults(func=cmd_generate)
 
     return parser

@@ -33,7 +33,6 @@ from .operator_core import (
     HERMITICITY_TOL,
     DensityOperator,
     StateError,
-    _hermiticity_deviation,
     certified_trace_distance,
     cmi,
     entropy,
@@ -384,8 +383,8 @@ class MarginalSet:
                 op = DensityOperator(cluster_region(anchor, 3, 3), local_dim, mat)
                 # Reductions are not symmetrized and sum up to d^9 entries of the anti-Hermitian part, so a
                 # marginal that could carry it past HERMITICITY_TOL is stored Hermitized; any other keeps its
-                # exact bytes from the file.
-                if _hermiticity_deviation(op.matrix) * op.dim > HERMITICITY_TOL:
+                # exact bytes from the file.  The deviation is the one the operator measured when it was made.
+                if op.hermiticity_deviation * op.dim > HERMITICITY_TOL:
                     op = DensityOperator(op.region, local_dim, 0.5 * (mat + mat.conj().T))
                 op.validate_spectrum()
             except StateError as exc:

@@ -49,10 +49,11 @@ SPECTRUM_TOL = 1e-10       # stored states may dip this far below zero from roun
 EIG_CLIP_REL = 1e-10       # relative support cutoff of pinv_sqrt_psd: 1e-10 * largest eigenvalue
 NEG_EIG_ABORT = 1e-8       # sqrt_psd/pinv_sqrt_psd operands below -1e-8 signal a logic bug; merge outputs go unchecked
 DENSE_DIM_GUARD = 2 ** 14  # refuse to materialize anything bigger
-# Row-block height of the Hermiticity check, of merge Hermitization, of the in-place transpose (square blocks of this
-# side) and of the Frobenius bound's row strips.  At 128 rows each temporary of a 512-dim check is 1 MB; at 512 the
-# check took that matrix whole, with 10 MB of temporaries.  Against 512 rows, on a 2-core host: 512-dim 8.1 -> 2.5 ms,
-# 256-dim 1.7 -> 0.6 ms, 4096-dim 637 -> 423 ms.
+# Block side of the Hermiticity check, of merge Hermitization and of the in-place transpose (square blocks), and the
+# row-strip height of the Frobenius bound.  The first two reuse one or two 256 KB block buffers per call; as 128-row
+# strips they made three 1 MB temporaries per strip of a 512-dim matrix, and were slower on a 2-core host (median of
+# interleaved runs, check / Hermitization): 256-dim 0.48 / 0.48 -> 0.32 / 0.34 ms, 512-dim 2.6 / 2.7 -> 1.3 / 1.7 ms,
+# 4096-dim 406 / 366 -> 194 / 301 ms.
 HERM_BLOCK_ROWS = 128
 
 
@@ -84,17 +85,26 @@ def _as_real_if_possible(mat: np.ndarray) -> np.ndarray:
 
 
 def _hermiticity_deviation(mat: np.ndarray) -> float:
-    """max|A - A^H| of a square matrix; taller ones go by row blocks, so no full-size temporary is formed.
+    """max|A - A^H| of a square matrix; taller ones go by square blocks of HERM_BLOCK_ROWS, so no strip is formed.
 
-    A matrix of at most HERM_BLOCK_ROWS rows is one block, taken without the
-    slicing, whose per-call cost would dominate for the many small marginals.
+    |x - conj(y)| and |y - conj(x)| are bitwise equal, so block (i, j) stands for block (j, i) and only blocks on and
+    above the diagonal are read: the maximum is the full expression's, bit for bit.  Each block's difference is made
+    in one reused buffer.  A matrix of at most HERM_BLOCK_ROWS rows is one block, taken without the buffers, whose
+    per-call cost would dominate for the many small marginals.
     """
-    n = mat.shape[0]
-    if n <= HERM_BLOCK_ROWS:
+    n, h = mat.shape[0], HERM_BLOCK_ROWS
+    if n <= h:
         return float(np.max(np.abs(mat - mat.conj().T)))
-    rows = range(0, n, HERM_BLOCK_ROWS)
-    blocks = [np.max(np.abs(mat[i:i + HERM_BLOCK_ROWS, :] - mat[:, i:i + HERM_BLOCK_ROWS].conj().T)) for i in rows]
-    return float(np.max(blocks))
+    diff, mag = np.empty((h, h), dtype=mat.dtype), np.empty((h, h))
+    peaks = []
+    for i in range(0, n, h):
+        for j in range(i, n, h):
+            upper = mat[i:i + h, j:j + h]
+            d, m = diff[:upper.shape[0], :upper.shape[1]], mag[:upper.shape[0], :upper.shape[1]]
+            np.conjugate(mat[j:j + h, i:i + h].T, out=d)
+            np.subtract(upper, d, out=d)
+            peaks.append(np.max(np.abs(d, out=m)))
+    return float(np.max(peaks))
 
 
 def _transpose_in_place(mat: np.ndarray) -> None:
@@ -120,7 +130,10 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A trace-one positive matrix on the sites of ``region`` with ``local_dim`` levels per site."""
+    """A trace-one positive matrix on the sites of ``region`` with ``local_dim`` levels per site.
+
+    ``hermiticity_deviation`` is max|A - A^H| of the stored matrix, measured once when the operator is made.
+    """
 
     region: Region
     local_dim: int
@@ -142,6 +155,7 @@ class DensityOperator:
         else:
             mat = np.ascontiguousarray(mat, dtype=np.complex128)
         herm = _hermiticity_deviation(mat)
+        object.__setattr__(self, "hermiticity_deviation", herm)
         if herm > HERMITICITY_TOL:
             raise StateError(f"matrix is not Hermitian: max deviation {herm:.3e}")
         tr = mat.trace()

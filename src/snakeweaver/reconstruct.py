@@ -89,14 +89,18 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     each cluster's fidelity record read reductions of tau, all from one
     reduction call per step, so no spectrum of the whole window is taken and
     the dense tau is formed only to carry sigma on (that call's union reduction,
-    as it is), for the exact path, or when ``state`` is read.  A step whose merge
-    drops, or whose tau_AB and tau_BC hold as negative eigenvalues (``steps``
-    keeps both weights), more than TRACE_TOL of weight (the channel argument needs
-    none lost), or whose bound exceeds ``tol``, records the exact CMI instead; if
-    last, the entropy is the exact spectral entropy of the state.  A fidelity
-    record is ``CheckReport.add_distance`` of tau's cluster and the marginal at
-    ``tol``: the Frobenius upper bound on their trace distance when it passes,
-    the exact distance otherwise, and its ``method`` detail says which.
+    as it is), for the exact path, or when ``state`` is read.  The call streams:
+    tau_AB and tau_BC come first and are let go once the entropy is read, and
+    each fidelity record uses its cluster's reduction as soon as it is made and
+    drops it, so the last step never holds two cluster reductions.  A step whose
+    merge drops, or whose tau_AB and tau_BC hold as negative eigenvalues
+    (``steps`` keeps both weights), more than TRACE_TOL of weight (the channel
+    argument needs none lost), or whose bound exceeds ``tol``, records the exact
+    CMI instead; if last, the entropy is the exact spectral entropy of the
+    state.  A fidelity record is ``CheckReport.add_distance`` of tau's cluster
+    and the marginal at ``tol``: the Frobenius upper bound on their trace
+    distance when it passes, the exact distance otherwise, and its ``method``
+    detail says which.
     """
     window = ms.window
     check_dim_guard(ms.local_dim ** (window.width * window.height))
@@ -110,13 +114,14 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
         a = region_union(*[_row_region(window, yy) for yy in range(y)])
         b, c = _row_region(window, y), _row_region(window, y + 1)
         keeps = [region_union(a, b), strip.region] + (clusters if last else [region_union(a, b, c)])
-        (tau_ab, tau_bc, *rest), trace = right_merge_marginals(sigma, strip, keeps)
+        reductions = right_merge_marginals(sigma, strip, keeps)
+        (tau_ab, trace), (tau_bc, _) = next(reductions), next(reductions)
         bound = cmi(sigma, a, (), b) - cmi(tau_ab, a, (), b)
         negative = float(sum(-w[w < 0.0].sum() for w in (tau_ab.eigenvalues(), tau_bc.eigenvalues())))
         exact = abs(trace - 1.0) > TRACE_TOL or negative > TRACE_TOL or bound > tol
         last_merge, tau = (sigma, strip), None
         if not last:
-            sigma = tau = rest.pop()
+            sigma = tau = next(reductions)[0]
         elif exact:
             tau = right_merge_info(sigma, strip)[0]
         residual, how = (cmi(tau, a, b, c), "exact") if exact else (bound, "bound")
@@ -126,12 +131,13 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
         s_total, method = entropy(tau_ab) + entropy(tau_bc) - entropy(partial_trace(tau_bc, b)), "chain"
     else:
         s_total, method = entropy(tau), "exact"
+    del tau_ab, tau_bc  # freed before the first cluster reduction is made
 
     marginal_report = CheckReport()
-    for anchor, marginal in zip(ms.anchors(), rest):
+    for anchor in ms.anchors():  # no name holds a reduction, so each is freed once it is recorded
         marginal_report.add_distance(
-            f"marginal-fidelity:{anchor[0]},{anchor[1]}", "marginal_fidelity", marginal, ms.marginals[anchor], tol,
-            anchor=list(anchor),
+            f"marginal-fidelity:{anchor[0]},{anchor[1]}", "marginal_fidelity", next(reductions)[0],
+            ms.marginals[anchor], tol, anchor=list(anchor),
         )
     return ReconstructionResult(
         entropy=float(s_total),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import resource
 import sys
 import types
 
@@ -38,7 +39,7 @@ def test_check_json_report(row_file, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert run("check", str(row_file), "--json", "--report", str(report_path)) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert payload["command"] == "check"
     assert payload["checks"]["markov"]["passed"] is True
     assert payload["checks"]["markov"]["summary"]["cmi"]["checks"] == 8
@@ -284,10 +285,28 @@ def test_an_extra_member_is_ignored(row_file, tmp_path, capsys):
     assert capsys.readouterr().out == with_extra
 
 
-def test_generate_json_prints_nothing(tmp_path, capsys):
+def _assert_peak_rss(payload):
+    # ru_maxrss only grows, so the value at emit time is at most the one read now
+    assert 0.0 < payload["peak_rss_mb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def test_generate_json_prints_its_report(tmp_path, capsys):
     assert run("generate", "--kind", "product", "--width", "3", "--height", "3",
                "--out", str(tmp_path / "p.json"), "--json") == 0
-    assert capsys.readouterr().out == ""
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["schema_version", "command", "peak_rss_mb"]
+    assert (payload["schema_version"], payload["command"]) == (4, "generate")
+    _assert_peak_rss(payload)
+
+
+@pytest.mark.parametrize("command", ["check", "entropy", "reconstruct"])
+def test_every_json_report_carries_the_peak_rss(command, row_file, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert run(command, str(row_file), "--json", "--report", str(report_path)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["command"] == command and list(payload)[-1] == "peak_rss_mb"
+    _assert_peak_rss(payload)
+    assert json.loads(report_path.read_text()) == payload
 
 
 @pytest.mark.parametrize(

@@ -52,9 +52,10 @@ def merge_outputs_are_positive(monkeypatch):
     outputs = []
 
     def recording(sigma, rho, keeps):
-        outs, trace = right_merge_marginals(sigma, rho, keeps)
-        outputs.extend(out for out in outs if out.dim <= 1024)
-        return outs, trace
+        for out, trace in right_merge_marginals(sigma, rho, keeps):
+            if out.dim <= 1024:
+                outputs.append(out)
+            yield out, trace
 
     monkeypatch.setattr("snakeweaver.merge.right_merge_marginals", recording)
     yield
@@ -200,10 +201,11 @@ def test_right_merge_marginal_is_the_reduced_dense_merge(d, regions, mixed):
     trace = expect.trace().real
     expect = DensityOperator(total, d, 0.5 * (expect + expect.conj().T) / trace)
     keeps = [sigma.region, rho.region, as_region(mixed), total]
-    marginals, first_trace = right_merge_marginals(sigma, rho, keeps)
+    marginals, traces = zip(*right_merge_marginals(sigma, rho, keeps))
+    first_trace = traces[0]
     assert first_trace == pytest.approx(trace, abs=1e-14)
     for keep, marginal in zip(keeps, marginals):
-        [single], single_trace = right_merge_marginals(sigma, rho, [keep])
+        [(single, single_trace)] = right_merge_marginals(sigma, rho, [keep])
         assert np.array_equal(single.matrix, marginal.matrix)  # one Petz factor serves every keep
         assert single_trace == pytest.approx(trace, abs=1e-14)
         assert marginal.region == keep
@@ -220,7 +222,7 @@ def test_right_merge_marginal_peak_memory_is_a_small_multiple_of_its_output(keep
     region = cluster_region(ms.anchors()[0], 3, 3) if keep == "cluster" else region_union(sigma.region, strip.region)
     tracemalloc.start()
     try:
-        [out], _ = right_merge_marginals(sigma, strip, [region])
+        [(out, _)] = right_merge_marginals(sigma, strip, [region])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
