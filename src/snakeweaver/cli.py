@@ -7,18 +7,23 @@ CMI tolerance it prints or writes by ln 2.
 
 Exit codes: 0 success, 1 a check failed, 2 unusable input or an OS-level I/O
 failure (such as an output path that cannot be written), 3 resource guard.
+A command that fails leaves no partial output file: every matrix file is
+written to a temporary sibling and renamed onto its path once complete, so a
+failed write leaves whatever stood at the path as it was.  ``generate``
+writes its marginal file one cluster at a time, as each is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import resource
 import sys
 
-from .lattice import GeometryError
+from .lattice import GeometryError, cluster_region
 from .marginal_store import (
     CheckReport,
     MarginalFileError,
@@ -26,10 +31,12 @@ from .marginal_store import (
     Window,
     check_local_consistency,
     check_markov_conditions,
+    require_cluster,
+    save_marginals,
     save_state,
 )
-from .operator_core import DimensionGuardError, StateError
-from .oracles import depolarize_marginal, gen_product, gen_row_markov, ghz_row_source
+from .operator_core import DimensionGuardError, StateError, partial_trace
+from .oracles import depolarization_anchor, depolarize, gen_product, gen_row_markov, ghz_row_state
 from .reconstruct import max_entropy_formula, max_entropy_terms, reconstruct_global, row_major_med
 
 EXIT_OK = 0
@@ -268,28 +275,37 @@ def cmd_entropy(args) -> int:
 def cmd_generate(args) -> int:
     try:
         window = Window(args.width, args.height)
-        if args.kind == "depolarized" and args.global_out:
-            raise ValueError("depolarized marginals disagree on their overlaps, so no global state has them")
+        require_cluster(window)
+        anchors = window.cluster_anchors()
+        mixed = None  # the anchor whose marginal kind=depolarized mixes
+        if args.kind == "depolarized":
+            if args.global_out:
+                raise ValueError("depolarized marginals disagree on their overlaps, so no global state has them")
+            mixed = depolarization_anchor(anchors, anchors[0] if args.anchor is None else args.anchor, args.eps)
         if args.kind == "ghz-row":
-            ms, state = ghz_row_source(window)
+            state = ghz_row_state(window)
+            marginal, local_dim = functools.partial(partial_trace, state), state.local_dim
         else:  # depolarized marginals start as row-markov ones
             if args.kind == "product":
                 source = gen_product(window, seed=args.seed)
             else:
                 orientation = "columns" if args.kind == "column-markov" else "rows"
                 source = gen_row_markov(window, seed=args.seed, orientation=orientation, unitaries=args.unitaries)
-            ms = source.marginal_set()
+            marginal, local_dim = source.marginal, source.local_dim
             state = source.global_state() if args.global_out else None
-        if args.kind == "depolarized":
-            anchor = ms.anchors()[0] if args.anchor is None else tuple(args.anchor)
-            ms = depolarize_marginal(ms, anchor, args.eps)
+
+        def cluster(anchor):
+            op = marginal(cluster_region(anchor, 3, 3))
+            return depolarize(op, args.eps) if anchor == mixed else op
+
+        # one cluster is built, written and released at a time
+        save_marginals(args.out, window, local_dim, (cluster(a).matrix for a in anchors))
     except DimensionGuardError as exc:  # a ValueError too, but a resource guard, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (GeometryError, StateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    ms.save(args.out)
     if args.global_out:
         save_state(state, args.global_out)
     if args.json:

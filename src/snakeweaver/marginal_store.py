@@ -3,18 +3,28 @@
 A marginal set needs at least one 3x3 cluster, so its window is at least 3x3.
 
 Every matrix file is one uncompressed ``.npz`` container, read with
-``allow_pickle=False``.  A marginal file (``MarginalSet.save``) holds the
-int64 members ``format_version`` (2), ``window`` (width, height), ``local_dim``
-and ``anchors`` (k, 2) in canonical order, and ``matrices`` (k, D, D)
-complex128 with D = local_dim ** 9.  A state file (``save_state``) holds
-``format_version``, ``local_dim``, ``region`` (n, 2) and ``matrix``.  Readers
-ignore members they do not know.
+``allow_pickle=False``.  A marginal file (``save_marginals``,
+``MarginalSet.save``) holds the int64 members ``format_version`` (2),
+``window`` (width, height), ``local_dim`` and ``anchors`` (k, 2) in canonical
+order, and ``matrices`` (k, D, D) complex128 with D = local_dim ** 9.  A state
+file (``save_state``) holds ``format_version``, ``local_dim``, ``region``
+(n, 2) and ``matrix``.  Readers ignore members they do not know, and refuse a
+member from its ``.npy`` header, before any of its data is read, when the
+header declares another dtype or shape.
+
+``matrices`` is written as a stream: each cluster's matrix goes to the file as
+it is produced, so a writer holds one cluster at a time.  Every file is
+written to a temporary sibling and renamed onto its path once complete, so a
+write that fails leaves no file, and whatever stood at the path stays as it
+was.
 """
 
 from __future__ import annotations
 
+import os
 import zipfile
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -195,26 +205,79 @@ def _region_json(region: Region) -> list:
     return [[x, y] for x, y in region]
 
 
+class Stack(NamedTuple):
+    """A stacked member: ``shape[0]`` arrays of shape ``shape[1:]`` and ``dtype``, in the order ``arrays`` yields."""
+
+    shape: tuple
+    dtype: type
+    arrays: Iterable[np.ndarray]
+
+
+def _write_stack(fh, name: str, stack: Stack) -> None:
+    """Write each array of ``stack`` as it is produced, after checking its shape and dtype, then the count."""
+    count, shape, dtype = stack.shape[0], tuple(stack.shape[1:]), np.dtype(stack.dtype)
+    written = 0
+    for a in stack.arrays:
+        a = np.asarray(a, order="C")
+        if written == count:
+            raise ValueError(f"member {name!r} declares {count} arrays, got more")
+        if a.shape != shape or a.dtype != dtype:
+            raise ValueError(
+                f"member {name!r} stacks {dtype} arrays of shape {shape}, got {a.dtype} of shape {a.shape}"
+            )
+        fh.write(memoryview(a).cast("B"))
+        written += 1
+        del a  # so that the next array is built with this one released
+    if written != count:
+        raise ValueError(f"member {name!r} declares {count} arrays, got {written}")
+
+
 def _write_container(path, **members) -> None:
     """Write ``members`` and the format version as an uncompressed .npz container at exactly ``path``.
 
-    The bytes are those ``np.savez`` writes for the same C-ordered members.  A member given as a list of arrays of
-    one shape and dtype is their stack, written one array at a time, so neither the stack nor a chunk copy of it is
-    formed.
+    The bytes are those ``np.savez`` writes for the same C-ordered members.  A member given as a ``Stack`` is the
+    stack of its arrays, each written right after the member's ``.npy`` header as it is produced, so neither the
+    stack nor a chunk copy of it is formed; too few or too many arrays, or one of another shape or dtype, raise
+    ValueError.  The container is written to a temporary sibling of ``path`` and renamed onto it once complete; on
+    any exception the temporary file is removed and ``path`` is left as it was.
     """
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-        for name, value in {"format_version": FORMAT_VERSION, **members}.items():
-            stacked = isinstance(value, list)
-            parts = [np.asarray(a, order="C") for a in (value if stacked else [value])]
-            first = parts[0]
-            if any(a.shape != first.shape or a.dtype != first.dtype for a in parts):
-                raise ValueError(f"member {name!r} stacks arrays of different shapes or dtypes")
-            shape = (len(parts), *first.shape) if stacked else first.shape
-            header = {"descr": np.lib.format.dtype_to_descr(first.dtype), "fortran_order": False, "shape": shape}
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array_header_1_0(fh, header)
-                for a in parts:
-                    fh.write(memoryview(a).cast("B"))
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    zf = zipfile.ZipFile(tmp, "x", zipfile.ZIP_STORED, allowZip64=True)
+    try:
+        with zf:
+            for name, value in {"format_version": FORMAT_VERSION, **members}.items():
+                if not isinstance(value, Stack):
+                    value = np.asarray(value, order="C")
+                shape = tuple(map(int, value.shape))
+                header = {"descr": np.lib.format.dtype_to_descr(np.dtype(value.dtype)), "fortran_order": False,
+                          "shape": shape}
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                    np.lib.format.write_array_header_1_0(fh, header)
+                    if isinstance(value, Stack):
+                        _write_stack(fh, name, value)
+                    else:
+                        fh.write(memoryview(value).cast("B"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def save_marginals(path, window: Window, local_dim: int, matrices: Iterable[np.ndarray]) -> None:
+    """Write the marginal file of ``window`` from ``matrices``, one per 3x3 cluster in canonical anchor order.
+
+    Each matrix is written as it is produced, so a generator that builds them holds one cluster at a time.
+    """
+    anchors = window.cluster_anchors()
+    dim = local_dim ** 9
+    _write_container(
+        path,
+        window=np.array([window.width, window.height]),
+        local_dim=local_dim,
+        anchors=np.array(anchors, dtype=np.int64).reshape(-1, 2),
+        matrices=Stack((len(anchors), dim, dim), np.complex128, matrices),
+    )
 
 
 def save_state(state: DensityOperator, path) -> None:
@@ -222,8 +285,17 @@ def save_state(state: DensityOperator, path) -> None:
     _write_container(path, local_dim=state.local_dim, region=np.array(state.region), matrix=state.matrix)
 
 
-def _read_members(path, names) -> dict:
-    """The members in ``names`` that the container at ``path`` holds; any read failure is a MarginalFileError."""
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_members(path, spec: dict) -> dict:
+    """Each member ``name`` of ``spec``, a map to ``(dtype, shape)``, read from the container at ``path``.
+
+    A member is refused from its ``.npy`` header, before any of its data is read, when the header declares a dtype
+    outside ``dtype`` or another shape; None in ``shape`` matches any length.  A missing member, or any read
+    failure, is a MarginalFileError.
+    """
+    out = {}
     try:
         with open(path, "rb") as fh:
             if fh.read(4) != b"PK\x03\x04":
@@ -233,27 +305,39 @@ def _read_members(path, names) -> dict:
                 )
             fh.seek(0)
             with np.load(fh, allow_pickle=False) as npz:
-                return {name: npz[name] for name in names if name in npz.files}
+                for name, (dtype, shape) in spec.items():
+                    if name not in npz.files:
+                        raise MarginalFileError(f"missing member {name!r}")
+                    with npz.zip.open(f"{name}.npy") as member:
+                        version = np.lib.format.read_magic(member)
+                        if version not in _NPY_HEADER_READERS:
+                            raise ValueError(f"member {name!r} has .npy format version {version}")
+                        got_shape, _, got_dtype = _NPY_HEADER_READERS[version](member)
+                    if (
+                        not np.issubdtype(got_dtype, dtype)
+                        or len(got_shape) != len(shape)
+                        or any(want not in (None, got) for want, got in zip(shape, got_shape))
+                    ):
+                        raise MarginalFileError(
+                            f"member {name!r} is {got_dtype} of shape {got_shape}, "
+                            f"expected {dtype.__name__} of shape {shape}"
+                        )
+                    out[name] = npz[name]
+    except MarginalFileError:
+        raise
     # zipfile and numpy report a damaged container through many unrelated exception types,
     # some with multi-line messages
     except Exception as exc:
         raise MarginalFileError(f"cannot read {path}: {' '.join(str(exc).split())}") from exc
+    return out
 
 
-def _member(members: dict, name: str, dtype, shape: tuple) -> np.ndarray:
-    """Member ``name`` after checking its dtype and its shape; None in ``shape`` matches any length."""
-    arr = members.get(name)
-    if arr is None:
-        raise MarginalFileError(f"missing member {name!r}")
-    if (
-        not np.issubdtype(arr.dtype, dtype)
-        or arr.ndim != len(shape)
-        or any(want not in (None, got) for want, got in zip(shape, arr.shape))
-    ):
-        raise MarginalFileError(
-            f"member {name!r} is {arr.dtype} of shape {arr.shape}, expected {dtype.__name__} of shape {shape}"
-        )
-    return arr
+def require_cluster(window: Window) -> int:
+    """The number of 3x3 clusters in ``window``; a window without one has no marginal set and is refused."""
+    clusters = window.cluster_count()
+    if not clusters:
+        raise MarginalFileError(f"a {window.width}x{window.height} window has no 3x3 cluster; it must be at least 3x3")
+    return clusters
 
 
 class MarginalSet:
@@ -264,11 +348,7 @@ class MarginalSet:
         self.local_dim = int(local_dim)
         self.marginals: dict[Vertex, DensityOperator] = {}
         # the count comes first, so a crafted window costs nothing before it is refused
-        clusters = window.cluster_count()
-        if not clusters:
-            raise MarginalFileError(
-                f"a {window.width}x{window.height} window has no 3x3 cluster; it must be at least 3x3"
-            )
+        clusters = require_cluster(window)
         if len(marginals) != clusters:
             raise MarginalFileError(
                 f"a {window.width}x{window.height} window has {clusters} 3x3 clusters, got {len(marginals)} marginals"
@@ -346,33 +426,32 @@ class MarginalSet:
     # -- serialization -------------------------------------------------------
 
     def save(self, path) -> None:
-        anchors = self.anchors()
-        _write_container(
-            path,
-            window=np.array([self.window.width, self.window.height]),
-            local_dim=self.local_dim,
-            anchors=np.array(anchors, dtype=np.int64).reshape(-1, 2),
-            matrices=[self.marginals[a].matrix for a in anchors],
-        )
+        save_marginals(path, self.window, self.local_dim, (self.marginals[a].matrix for a in self.anchors()))
 
     @classmethod
     def load(cls, path) -> "MarginalSet":
         """Read and validate a marginal file; every failure raises MarginalFileError."""
-        members = _read_members(path, ("format_version", "window", "local_dim", "anchors", "matrices"))
-        version = int(_member(members, "format_version", np.integer, ()))
+        members = _read_members(path, {
+            "format_version": (np.integer, ()),
+            "window": (np.integer, (2,)),
+            "local_dim": (np.integer, ()),
+            "anchors": (np.integer, (None, 2)),
+        })
+        version = int(members["format_version"])
         if version != FORMAT_VERSION:
             raise MarginalFileError(f"unknown format_version {version}")
-        width, height = _member(members, "window", np.integer, (2,)).tolist()
-        local_dim = int(_member(members, "local_dim", np.integer, ()))
+        width, height = members["window"].tolist()
+        local_dim = int(members["local_dim"])
         if local_dim < 2:
             raise MarginalFileError(f"local_dim must be >= 2, got {local_dim}")
         try:
             window = Window(width, height)
         except GeometryError as exc:
             raise MarginalFileError(f"malformed marginal file: {exc}") from exc
-        anchors = _member(members, "anchors", np.integer, (None, 2)).tolist()
+        anchors = members["anchors"].tolist()
         dim = local_dim ** 9
-        matrices = _member(members, "matrices", np.complex128, (len(anchors), dim, dim))
+        # checked against the anchors before its data is read, so a crafted header allocates nothing
+        matrices = _read_members(path, {"matrices": (np.complex128, (len(anchors), dim, dim))})["matrices"]
         if not np.isfinite(matrices).all():
             raise MarginalFileError("a marginal matrix has a non-finite entry")
         margs = {}

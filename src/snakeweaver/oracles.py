@@ -310,31 +310,45 @@ def gen_product(window: Window, site_states: dict | None = None, seed=0, local_d
     return ProductSource(window, site_states, seed, local_dim)
 
 
-def ghz_row_source(window: Window):
-    """Qubit global state with a coherent GHZ across the top row and |0> on every other site.
+def ghz_row_state(window: Window) -> DensityOperator:
+    """Qubit global state with a coherent GHZ across the top row and |0> on every other site, under the dense guard.
 
-    Returns (marginal_set, global_state).  With width 3 the full GHZ row sits
-    inside every cluster, so the Markov checks must fail.
+    With width 3 the full GHZ row sits inside every cluster, so the Markov checks must fail.
     """
     check_dim_guard(2 ** len(window.sites()))
     row = window.height - 1
     row_sites = as_region([(x, row) for x in range(window.width)])
     rest = as_region([v for v in window.sites() if v[1] != row])
-    state = product_operator([ghz_state(row_sites), basis_state(rest, [0] * len(rest))])
+    return product_operator([ghz_state(row_sites), basis_state(rest, [0] * len(rest))])
+
+
+def ghz_row_source(window: Window):
+    """(marginal_set, global_state) of ``ghz_row_state``."""
+    state = ghz_row_state(window)
     return MarginalSet.from_global(state, window), state
+
+
+def depolarization_anchor(anchors, anchor, eps: float) -> Vertex:
+    """``anchor`` as a vertex, after checking that it is one of ``anchors`` and that ``eps`` lies in [0, 1]."""
+    anchor = as_vertex(anchor)
+    if anchor not in anchors:
+        raise GeometryError(f"{anchor} is not a cluster anchor of the window; its anchors are {list(anchors)}")
+    if not 0 <= eps <= 1:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    return anchor
+
+
+def depolarize(op: DensityOperator, eps: float) -> DensityOperator:
+    """(1-eps) rho + eps I/D."""
+    mixed = (1.0 - eps) * op.matrix + eps * np.eye(op.dim) / op.dim
+    return DensityOperator(op.region, op.local_dim, mixed)
 
 
 def depolarize_marginal(ms: MarginalSet, anchor, eps: float) -> MarginalSet:
     """Replace one stored marginal by (1-eps) rho + eps I/D, breaking consistency locally."""
-    anchor = as_vertex(anchor)
-    if anchor not in ms.marginals:
-        raise GeometryError(f"{anchor} is not a cluster anchor of the window; its anchors are {list(ms.anchors())}")
-    if not 0 <= eps <= 1:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    anchor = depolarization_anchor(ms.anchors(), anchor, eps)
     margs = dict(ms.marginals)
-    op = margs[anchor]
-    mixed = (1.0 - eps) * op.matrix + eps * np.eye(op.dim) / op.dim
-    margs[anchor] = DensityOperator(op.region, op.local_dim, mixed)
+    margs[anchor] = depolarize(margs[anchor], eps)
     return MarginalSet(ms.window, ms.local_dim, margs)
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import resource
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 from snakeweaver import cli
 from snakeweaver.cli import main
 from snakeweaver.marginal_store import MarginalSet, Window
-from snakeweaver.operator_core import DensityOperator
-from snakeweaver.oracles import gen_row_markov, ghz_row_source
+from snakeweaver.operator_core import DensityOperator, StateError
+from snakeweaver.oracles import RowMarkovSource, depolarize_marginal, gen_product, gen_row_markov, ghz_row_source
 from snakeweaver.reconstruct import reconstruct_global
 
 
@@ -184,6 +185,66 @@ def test_depolarized_global_out_is_refused_before_any_file_is_written(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not marginals.exists() and not global_out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,unitaries",
+    [("row-markov", "haar"), ("row-markov", "real"), ("row-markov", "none"), ("column-markov", "haar"),
+     ("product", "haar"), ("ghz-row", "haar"), ("depolarized", "haar")],
+)
+def test_generate_writes_the_bytes_of_the_saved_marginal_set(kind, unitaries, tmp_path):
+    window, seed = Window(4, 3), 6
+    streamed, saved = tmp_path / "streamed.npz", tmp_path / "saved.npz"
+    assert run("generate", "--kind", kind, "--unitaries", unitaries, "--width", "4", "--height", "3",
+               "--seed", str(seed), "--eps", "0.25", "--out", str(streamed)) == 0
+    if kind == "ghz-row":
+        ms, _ = ghz_row_source(window)
+    elif kind == "product":
+        ms = gen_product(window, seed=seed).marginal_set()
+    else:
+        orientation = "columns" if kind == "column-markov" else "rows"
+        ms = gen_row_markov(window, seed=seed, orientation=orientation, unitaries=unitaries).marginal_set()
+    if kind == "depolarized":
+        ms = depolarize_marginal(ms, ms.anchors()[0], 0.25)
+    ms.save(saved)
+    assert streamed.read_bytes() == saved.read_bytes()
+
+
+@pytest.mark.parametrize("width", [4, 8])
+def test_generate_holds_one_cluster_at_a_time(width, tmp_path):
+    # a 512-dim cluster marginal is 4 MiB; building one holds its input and output, so the peak stays near two of
+    # them however many clusters the window has
+    cluster_bytes = 512 * 512 * 16
+    tracemalloc.start()
+    try:
+        assert run("generate", "--kind", "row-markov", "--width", str(width), "--height", "4", "--seed", "1",
+                   "--out", str(tmp_path / "m.npz")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * cluster_bytes
+
+
+def test_a_failed_generate_leaves_no_file_and_keeps_the_old_one(tmp_path, monkeypatch, capsys):
+    built = []
+    real = RowMarkovSource.marginal
+
+    def fail_on_the_third_cluster(self, region):
+        built.append(region)
+        if len(built) == 3:
+            raise StateError("third cluster refused")
+        return real(self, region)
+
+    monkeypatch.setattr(RowMarkovSource, "marginal", fail_on_the_third_cluster)
+    out = tmp_path / "m.npz"
+    argv = ("generate", "--kind", "row-markov", "--width", "4", "--height", "4", "--seed", "1", "--out", str(out))
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "error: third cluster refused\n"
+    assert list(tmp_path.iterdir()) == []
+    out.write_bytes(b"an earlier file")
+    built.clear()
+    assert run(*argv) == 2
+    assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == b"an earlier file"
 
 
 def test_reconstruct_small_window(row_file, capsys):

@@ -1,5 +1,7 @@
 """Marginal sets: condition tables, consistency/Markov checks, derived marginals, file format."""
 
+import tracemalloc
+import zipfile
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +13,9 @@ from snakeweaver.marginal_store import (
     MarginalFileError,
     MarginalSet,
     MissingMarginalError,
+    Stack,
     Window,
+    _write_container,
     c_m_conditions,
     check_local_consistency,
     check_markov_conditions,
@@ -294,6 +298,53 @@ def test_file_parser_rejections(tmp_path):
     path.write_bytes(good.read_bytes()[:200])
     with pytest.raises(MarginalFileError):
         MarginalSet.load(path)
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        [np.zeros((2, 2))],  # too short
+        [np.zeros((2, 2))] * 3,  # too long
+        [np.zeros((2, 2)), np.zeros((2, 3))],
+        [np.zeros((2, 2)), np.zeros((2, 2), dtype=np.float32)],
+    ],
+)
+def test_a_stack_that_breaks_its_declaration_is_refused_and_leaves_no_file(arrays, tmp_path):
+    path = tmp_path / "s.npz"
+    with pytest.raises(ValueError, match="'stack'"):
+        _write_container(path, stack=Stack((2, 2, 2), np.float64, iter(arrays)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_stack_is_written_as_its_stacked_array(tmp_path):
+    arrays = [np.full((2, 3), i, dtype=np.complex128) for i in range(4)]
+    _write_container(tmp_path / "s.npz", stack=Stack((4, 2, 3), np.complex128, iter(arrays)))
+    np.savez(tmp_path / "ref.npz", format_version=2, stack=np.stack(arrays))
+    assert (tmp_path / "s.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
+
+
+def test_a_matrices_header_declaring_a_huge_shape_is_refused_before_any_allocation(tmp_path):
+    # (1, 8192, 8192) complex128 is 1 GiB; the member holds 4 KB of it
+    path = tmp_path / "huge.npz"
+    members = {"format_version": np.int64(2), "window": np.array([3, 3]), "local_dim": np.int64(2),
+               "anchors": np.array([[2, 0]])}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, value in members.items():
+            with zf.open(f"{name}.npy", "w") as fh:
+                np.lib.format.write_array(fh, value)
+        with zf.open("matrices.npy", "w") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<c16", "fortran_order": False, "shape": (1, 8192, 8192)}
+            )
+            fh.write(bytes(4096))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MarginalFileError, match="matrices"):
+            MarginalSet.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_check_report_summary_matches_records():

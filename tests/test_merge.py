@@ -212,7 +212,7 @@ def test_right_merge_marginal_is_the_reduced_dense_merge(d, regions, mixed):
         assert np.max(np.abs(marginal.matrix - partial_trace(expect, keep).matrix)) <= 1e-14
 
 
-@pytest.mark.parametrize("keep,bound", [("cluster", 4.0), ("union", 1.5)])
+@pytest.mark.parametrize("keep,bound", [("cluster", 2.5), ("union", 1.25)])
 def test_right_merge_marginal_peak_memory_is_a_small_multiple_of_its_output(keep, bound):
     # the 4x3 row-Markov level-2 strips: a 3x3-cluster keep (512-dim) and the whole 4096-dim union both go through
     # the superoperator, whose (d_k d_B)^2 entries are 4x the cluster output and as large as the union

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from snakeweaver.marginal_store import Window
+from snakeweaver.marginal_store import MarginalSet, Window
 from snakeweaver.oracles import gen_row_markov
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +48,16 @@ def test_traced_command_runs_each_check_once(command, row_file, tmp_path):
     assert counts["marginal_store.check_local_consistency"] == 1
     assert counts["marginal_store.check_markov_conditions"] == 1
     assert counts["reconstruct.reconstruct_global"] == (command == "reconstruct")
+
+
+def test_traced_generate_streams_its_clusters(tmp_path):
+    out = tmp_path / "row43.npz"
+    argv = ("generate", "--kind", "row-markov", "--width", "4", "--height", "3", "--seed", "1", "--out", str(out))
+    counts = collections.Counter(span["name"] for span in _spans(tmp_path, *argv, "--json"))
+    assert counts["cli.generate"] == 1
+    # each cluster goes to the file as it is built: no marginal set is formed or saved
+    assert counts["oracles.RowMarkovSource.marginal_set"] == counts["marginal_store.MarginalSet.save"] == 0
+    assert MarginalSet.load(out).anchors() == Window(4, 3).cluster_anchors()
 
 
 def test_reconstruct_forms_no_dense_window_state(row_file, tmp_path):
