@@ -284,14 +284,14 @@ def cmd_generate(args) -> int:
             mixed = depolarization_anchor(anchors, anchors[0] if args.anchor is None else args.anchor, args.eps)
         if args.kind == "ghz-row":
             state = ghz_row_state(window)
-            marginal, local_dim = functools.partial(partial_trace, state), state.local_dim
+            marginal = functools.partial(partial_trace, state)
         else:  # depolarized marginals start as row-markov ones
             if args.kind == "product":
                 source = gen_product(window, seed=args.seed)
             else:
                 orientation = "columns" if args.kind == "column-markov" else "rows"
                 source = gen_row_markov(window, seed=args.seed, orientation=orientation, unitaries=args.unitaries)
-            marginal, local_dim = source.marginal, source.local_dim
+            marginal = source.marginal
             state = source.global_state() if args.global_out else None
 
         def cluster(anchor):
@@ -299,7 +299,7 @@ def cmd_generate(args) -> int:
             return depolarize(op, args.eps) if anchor == mixed else op
 
         # one cluster is built, written and released at a time
-        save_marginals(args.out, window, local_dim, (cluster(a).matrix for a in anchors))
+        save_marginals(args.out, window, (cluster(a).matrix for a in anchors))
     except DimensionGuardError as exc:  # a ValueError too, but a resource guard, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--formula-only",
         action="store_true",
         help="skip the reconstruction and print only the formula; the reconstruction forms its dense "
-        "d^(width*height) state only for --state-out or its exact path, but refuses windows past the "
+        "2^(width*height) state only for --state-out or its exact path, but refuses windows past the "
         "dense-dimension guard, which need this flag",
     )
     only.add_argument(
@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         required=True,
         help="marginal file to write, an uncompressed .npz container with members format_version, window, "
-        "local_dim, anchors (k,2) and matrices (k,D,D) complex128",
+        "local_dim (always 2: every site is a qubit), anchors (k,2) and matrices (k,512,512) complex128, "
+        "one 3x3-cluster marginal per anchor",
     )
     p.add_argument(
         "--global-out",

@@ -6,11 +6,14 @@ Every matrix file is one uncompressed ``.npz`` container, read with
 ``allow_pickle=False``.  A marginal file (``save_marginals``,
 ``MarginalSet.save``) holds the int64 members ``format_version`` (2),
 ``window`` (width, height), ``local_dim`` and ``anchors`` (k, 2) in canonical
-order, and ``matrices`` (k, D, D) complex128 with D = local_dim ** 9.  A state
+order, and ``matrices`` (k, D, D) complex128 with D = 2 ** 9 = 512.  A state
 file (``save_state``) holds ``format_version``, ``local_dim``, ``region``
-(n, 2) and ``matrix``.  Readers ignore members they do not know, and refuse a
-member from its ``.npy`` header, before any of its data is read, when the
-header declares another dtype or shape.
+(n, 2) and ``matrix``.  ``local_dim`` is always ``LOCAL_DIM`` (2): writers emit
+it, and ``MarginalSet.load`` refuses any other value before it opens
+``anchors`` or ``matrices``.  Readers ignore members they do not know, and
+refuse a member from its ``.npy`` header, before any of its data is read, when
+the header declares another dtype or shape; ``anchors`` must declare one row
+per cluster of the window.
 
 ``matrices`` is written as a stream: each cluster's matrix goes to the file as
 it is produced, so a writer holds one cluster at a time.  Every file is
@@ -23,8 +26,8 @@ from __future__ import annotations
 
 import os
 import zipfile
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,7 +43,9 @@ from .lattice import (
     rotate_pi_local,
 )
 from .operator_core import (
+    DENSE_DIM_GUARD,
     HERMITICITY_TOL,
+    LOCAL_DIM,
     DensityOperator,
     StateError,
     certified_trace_distance,
@@ -144,14 +149,7 @@ class CheckRecord:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "kind": self.kind,
-            "residual": self.residual,
-            "tol": self.tol,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -264,17 +262,17 @@ def _write_container(path, **members) -> None:
         raise
 
 
-def save_marginals(path, window: Window, local_dim: int, matrices: Iterable[np.ndarray]) -> None:
+def save_marginals(path, window: Window, matrices: Iterable[np.ndarray]) -> None:
     """Write the marginal file of ``window`` from ``matrices``, one per 3x3 cluster in canonical anchor order.
 
     Each matrix is written as it is produced, so a generator that builds them holds one cluster at a time.
     """
     anchors = window.cluster_anchors()
-    dim = local_dim ** 9
+    dim = LOCAL_DIM ** 9
     _write_container(
         path,
         window=np.array([window.width, window.height]),
-        local_dim=local_dim,
+        local_dim=LOCAL_DIM,
         anchors=np.array(anchors, dtype=np.int64).reshape(-1, 2),
         matrices=Stack((len(anchors), dim, dim), np.complex128, matrices),
     )
@@ -282,18 +280,19 @@ def save_marginals(path, window: Window, local_dim: int, matrices: Iterable[np.n
 
 def save_state(state: DensityOperator, path) -> None:
     """Write a global or reconstructed state: ``local_dim``, ``region`` (n, 2) and ``matrix``."""
-    _write_container(path, local_dim=state.local_dim, region=np.array(state.region), matrix=state.matrix)
+    _write_container(path, local_dim=LOCAL_DIM, region=np.array(state.region), matrix=state.matrix)
 
 
 _NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
 
 
-def _read_members(path, spec: dict) -> dict:
+def _read_members(path, spec: dict, declared: Callable[[tuple], None] | None = None) -> dict:
     """Each member ``name`` of ``spec``, a map to ``(dtype, shape)``, read from the container at ``path``.
 
     A member is refused from its ``.npy`` header, before any of its data is read, when the header declares a dtype
-    outside ``dtype`` or another shape; None in ``shape`` matches any length.  A missing member, or any read
-    failure, is a MarginalFileError.
+    outside ``dtype`` or another shape; None in ``shape`` matches any length.  ``declared``, when given, is called
+    with each member's declared shape after that check and before its data is read, and refuses it by raising
+    MarginalFileError.  A missing member, or any read failure, is a MarginalFileError.
     """
     out = {}
     try:
@@ -322,6 +321,8 @@ def _read_members(path, spec: dict) -> dict:
                             f"member {name!r} is {got_dtype} of shape {got_shape}, "
                             f"expected {dtype.__name__} of shape {shape}"
                         )
+                    if declared is not None:
+                        declared(got_shape)
                     out[name] = npz[name]
     except MarginalFileError:
         raise
@@ -340,19 +341,23 @@ def require_cluster(window: Window) -> int:
     return clusters
 
 
+def _require_marginal_count(window: Window, count: int) -> None:
+    """Refuse ``count`` marginals for ``window`` unless it is the window's nonzero cluster count, without listing
+    anchors, so a crafted window costs nothing before it is refused."""
+    clusters = require_cluster(window)
+    if count != clusters:
+        raise MarginalFileError(
+            f"a {window.width}x{window.height} window has {clusters} 3x3 clusters, got {count} marginals"
+        )
+
+
 class MarginalSet:
     """The fundamental marginals of a window: one density operator per inside 3x3 cluster."""
 
-    def __init__(self, window: Window, local_dim: int, marginals: dict):
+    def __init__(self, window: Window, marginals: dict):
         self.window = window
-        self.local_dim = int(local_dim)
         self.marginals: dict[Vertex, DensityOperator] = {}
-        # the count comes first, so a crafted window costs nothing before it is refused
-        clusters = require_cluster(window)
-        if len(marginals) != clusters:
-            raise MarginalFileError(
-                f"a {window.width}x{window.height} window has {clusters} 3x3 clusters, got {len(marginals)} marginals"
-            )
+        _require_marginal_count(window, len(marginals))
         expected = set(window.cluster_anchors())
         got = {as_vertex(a) for a in marginals}
         if got != expected:
@@ -367,8 +372,6 @@ class MarginalSet:
             want = cluster_region(a, 3, 3)
             if op.region != want:
                 raise MarginalFileError(f"marginal at {a} lives on {op.region}, expected {want}")
-            if op.local_dim != self.local_dim:
-                raise MarginalFileError(f"marginal at {a} has local_dim {op.local_dim}")
             self.marginals[a] = op
         self._derived_cache: dict[Region, DensityOperator] = {}
 
@@ -382,7 +385,7 @@ class MarginalSet:
             a: partial_trace(state, cluster_region(a, 3, 3))
             for a in window.cluster_anchors()
         }
-        return cls(window, state.local_dim, margs)
+        return cls(window, margs)
 
     def anchors(self) -> tuple[Vertex, ...]:
         return tuple(sorted(self.marginals, key=canonical_key))
@@ -426,31 +429,38 @@ class MarginalSet:
     # -- serialization -------------------------------------------------------
 
     def save(self, path) -> None:
-        save_marginals(path, self.window, self.local_dim, (self.marginals[a].matrix for a in self.anchors()))
+        save_marginals(path, self.window, (self.marginals[a].matrix for a in self.anchors()))
 
     @classmethod
     def load(cls, path) -> "MarginalSet":
-        """Read and validate a marginal file; every failure raises MarginalFileError."""
+        """Read and validate a marginal file; every failure raises MarginalFileError.
+
+        ``anchors`` is opened only once ``local_dim`` and the window pass, and each array member is refused from its
+        header, so a crafted file is refused before any array it declares is allocated.
+        """
         members = _read_members(path, {
             "format_version": (np.integer, ()),
             "window": (np.integer, (2,)),
             "local_dim": (np.integer, ()),
-            "anchors": (np.integer, (None, 2)),
         })
         version = int(members["format_version"])
         if version != FORMAT_VERSION:
             raise MarginalFileError(f"unknown format_version {version}")
-        width, height = members["window"].tolist()
         local_dim = int(members["local_dim"])
-        if local_dim < 2:
-            raise MarginalFileError(f"local_dim must be >= 2, got {local_dim}")
+        if local_dim != LOCAL_DIM:
+            raise MarginalFileError(
+                f"local_dim is {local_dim}, but only qubits (2) are supported: a 3x3 cluster of d >= 3 levels has "
+                f"d^9 >= 19683 dims, past the dense guard of {DENSE_DIM_GUARD}"
+            )
+        width, height = members["window"].tolist()
         try:
             window = Window(width, height)
         except GeometryError as exc:
             raise MarginalFileError(f"malformed marginal file: {exc}") from exc
-        anchors = members["anchors"].tolist()
-        dim = local_dim ** 9
-        # checked against the anchors before its data is read, so a crafted header allocates nothing
+        anchors = _read_members(
+            path, {"anchors": (np.integer, (None, 2))}, lambda shape: _require_marginal_count(window, shape[0])
+        )["anchors"].tolist()
+        dim = LOCAL_DIM ** 9
         matrices = _read_members(path, {"matrices": (np.complex128, (len(anchors), dim, dim))})["matrices"]
         if not np.isfinite(matrices).all():
             raise MarginalFileError("a marginal matrix has a non-finite entry")
@@ -459,17 +469,17 @@ class MarginalSet:
             if anchor in margs:
                 raise MarginalFileError(f"duplicate marginal anchor {anchor}")
             try:
-                op = DensityOperator(cluster_region(anchor, 3, 3), local_dim, mat)
-                # Reductions are not symmetrized and sum up to d^9 entries of the anti-Hermitian part, so a
+                op = DensityOperator(cluster_region(anchor, 3, 3), mat)
+                # Reductions are not symmetrized and sum up to 2^9 entries of the anti-Hermitian part, so a
                 # marginal that could carry it past HERMITICITY_TOL is stored Hermitized; any other keeps its
                 # exact bytes from the file.  The deviation is the one the operator measured when it was made.
                 if op.hermiticity_deviation * op.dim > HERMITICITY_TOL:
-                    op = DensityOperator(op.region, local_dim, 0.5 * (mat + mat.conj().T))
+                    op = DensityOperator(op.region, 0.5 * (mat + mat.conj().T))
                 op.validate_spectrum()
             except StateError as exc:
                 raise MarginalFileError(f"marginal at {anchor} is not a valid state: {exc}") from exc
             margs[anchor] = op
-        return cls(window, local_dim, margs)
+        return cls(window, margs)
 
 
 def check_markov_conditions(ms: MarginalSet, tol: float = 1e-8) -> CheckReport:

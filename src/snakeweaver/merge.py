@@ -17,6 +17,7 @@ import numpy as np
 from .lattice import GeometryError, as_region, region_difference, region_intersection, region_union
 from .operator_core import (
     HERM_BLOCK_ROWS,
+    LOCAL_DIM,
     DensityOperator,
     StateError,
     apply_on_sites,
@@ -45,12 +46,6 @@ class MergePreconditionError(ValueError):
     """A merging-lemma hypothesis fails beyond tolerance."""
 
 
-class RightMergeInfo(NamedTuple):
-    """A merge's overlap B and its trace Tr(sigma_B Pi_B) before renormalization."""
-    overlap: tuple
-    trace_before_renorm: float
-
-
 def _petz_factor(rho: DensityOperator, overlap) -> np.ndarray:
     """K = rho_BC^1/2 (rho_B^-1/2 (x) I_C) on rho's legs, B = ``overlap``.
 
@@ -58,11 +53,12 @@ def _petz_factor(rho: DensityOperator, overlap) -> np.ndarray:
     """
     rho_b = partial_trace(rho, overlap)
     b_pos = [rho.site_pos(s) for s in overlap]
-    return apply_on_sites(pinv_sqrt_psd(rho_b.matrix), sqrt_psd(rho.matrix), b_pos, rho.local_dim).conj().T
+    return apply_on_sites(pinv_sqrt_psd(rho_b.matrix), sqrt_psd(rho.matrix), b_pos).conj().T
 
 
-def right_merge_info(sigma: DensityOperator, rho: DensityOperator) -> tuple[DensityOperator, RightMergeInfo]:
-    """Right-merge of ``rho`` into ``sigma``: rho_BC^1/2 rho_B^-1/2 sigma rho_B^-1/2 rho_BC^1/2, and its info record.
+def right_merge_info(sigma: DensityOperator, rho: DensityOperator) -> tuple[DensityOperator, float]:
+    """Right-merge of ``rho`` into ``sigma``, rho_BC^1/2 rho_B^-1/2 sigma rho_B^-1/2 rho_BC^1/2, and its trace
+    Tr(sigma_B Pi_B) before renormalization.
 
     B is the overlap of the two regions, extended by identity factors on the
     unshared sites.  This is ``right_merge_marginals`` kept on the whole union,
@@ -72,7 +68,7 @@ def right_merge_info(sigma: DensityOperator, rho: DensityOperator) -> tuple[Dens
     dev = abs(tr - 1.0)
     if dev > 1e-6:
         logger.warning("right_merge trace deviated by %.3e before renormalization", dev)
-    return out, RightMergeInfo(region_intersection(sigma.region, rho.region), tr)
+    return out, tr
 
 
 def _hermitian_part(dst: np.ndarray, src: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -108,14 +104,14 @@ def _contract(k_bc: np.ndarray, sigma: DensityOperator, rho: DensityOperator, ke
     K with row legs (k, r) and column legs (B, C); sigma_A'B with legs (a, b, a', b').  The superoperator is built
     one k-row block at a time and written straight into the (a, k, a', k') output.
     """
-    d, n = rho.local_dim, len(rho.region)
+    d, n = LOCAL_DIM, len(rho.region)
     overlap = list(region_intersection(sigma.region, rho.region))
     c_sites = [s for s in rho.region if s not in overlap]
     cols = [n + rho.site_pos(s) for s in overlap + c_sites]
     r_sites = [s for s in rho.region if s not in keep]
     da, dk, dr, db, dc = (d ** len(sites) for sites in (a_sites, k_sites, r_sites, overlap, c_sites))
     k4 = k_bc.transpose([rho.site_pos(s) for s in k_sites + r_sites] + cols).reshape(dk, dr, db, dc)
-    sig = _reorder_sites(sigma.matrix, sigma.region, a_sites + overlap, d).reshape(da, db, da, db)
+    sig = _reorder_sites(sigma.matrix, sigma.region, a_sites + overlap).reshape(da, db, da, db)
     if dk * db <= da * db * dc:
         e = k4.transpose(1, 3, 0, 2).reshape(dr * dc, dk, db)
         sig_bbaa = sig.transpose(1, 3, 0, 2).reshape(db * db, da * da)
@@ -134,17 +130,17 @@ def _contract(k_bc: np.ndarray, sigma: DensityOperator, rho: DensityOperator, ke
         out = (out @ k3.conj().reshape(dk * dr, db * dc).T).reshape(dk, dr, da, da, dk, dr)
         out = np.einsum("kraAjr->akAj", out)
     # a view of ``out`` when a_sites + k_sites is already the keep's order
-    return _reorder_sites(out, a_sites + k_sites, keep, d)
+    return _reorder_sites(out, a_sites + k_sites, keep)
 
 
-def _normalized(keep, d: int, out: np.ndarray) -> tuple[DensityOperator, float]:
+def _normalized(keep, out: np.ndarray) -> tuple[DensityOperator, float]:
     """``out`` Hermitized in place and divided by its trace, and that trace; an empty trace means no common support."""
     _hermitize(out)
     trace = float(out.trace().real)
     if trace < 1e-12:
         raise SupportMismatchError(f"merged trace {trace:.3e}: overlap marginals have no common support")
     out /= trace
-    return DensityOperator(keep, d, out), trace
+    return DensityOperator(keep, out), trace
 
 
 def right_merge_marginals(sigma: DensityOperator, rho: DensityOperator, keeps) -> Iterator[tuple[DensityOperator, float]]:
@@ -171,12 +167,10 @@ def right_merge_marginals(sigma: DensityOperator, rho: DensityOperator, keeps) -
     Hermitization) and at 1.02x the 4096-dim union's (1.14x); ``reconstruct``'s
     last step there, with its two cluster keeps, peaks at 2.5 cluster outputs.
     """
-    if sigma.local_dim != rho.local_dim:
-        raise GeometryError("local dims differ between merge operands")
     overlap, total = region_intersection(sigma.region, rho.region), region_union(sigma.region, rho.region)
     if not overlap:
         raise EmptyOverlapError("merge operands share no sites; use product_operator for a tensor product")
-    d = sigma.local_dim
+    d = LOCAL_DIM
     c_sites = [s for s in rho.region if s not in overlap]
     db, dc = d ** len(overlap), d ** len(c_sites)
     legs = []
@@ -190,7 +184,7 @@ def right_merge_marginals(sigma: DensityOperator, rho: DensityOperator, keeps) -
 
     k_bc = _petz_factor(rho, overlap).reshape((d,) * (2 * len(rho.region)))
     for keep, a_sites, k_sites in legs:
-        yield _normalized(keep, d, _contract(k_bc, sigma, rho, keep, a_sites, k_sites))
+        yield _normalized(keep, _contract(k_bc, sigma, rho, keep, a_sites, k_sites))
 
 
 def right_merge(sigma: DensityOperator, rho: DensityOperator) -> DensityOperator:

@@ -2,12 +2,14 @@
 
 Tensor-factor convention: the sites of a region in canonical order (y, then x)
 index the tensor factors most-significant first, so the flat matrix index of a
-basis state is the base-d number whose leading digit belongs to the first site.
+basis state is the binary number whose leading bit belongs to the first site.
+Every site is a qubit: ``LOCAL_DIM`` is 2 and nothing sets another value, since
+a 3x3 cluster of d >= 3 levels (d^9 >= 19683 dims) is past the dense guard.
 ``_reorder_sites``, the one leg map, permutes and traces sites as tensor axes
 in one contraction; every partial trace, product, embedding and leg-local
 application (``apply_on_sites``) goes through it.  Reductions are validated,
 not symmetrized: one scales its input's deviation from Hermitian by up to
-d^(traced sites).  Operators are complex128; helpers drop to real arithmetic
+2^(traced sites).  Operators are complex128; helpers drop to real arithmetic
 when the imaginary part is exactly zero.  Entropies and CMIs are in bits.
 
 Region entropies have one protocol: a provider answers ``region_entropy(region)``
@@ -43,6 +45,7 @@ from .lattice import (
 
 logger = logging.getLogger("snakeweaver.operator_core")
 
+LOCAL_DIM = 2              # levels per site: every site is a qubit
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 SPECTRUM_TOL = 1e-10       # stored states may dip this far below zero from rounding
@@ -62,7 +65,7 @@ class StateError(ValueError):
 
 
 class RegionMismatchError(ValueError):
-    """Operands live on different regions or local dimensions."""
+    """Operands live on different regions."""
 
 
 class DimensionGuardError(ValueError):
@@ -130,25 +133,22 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A trace-one positive matrix on the sites of ``region`` with ``local_dim`` levels per site.
+    """A trace-one positive matrix on the qubits of ``region``.
 
     ``hermiticity_deviation`` is max|A - A^H| of the stored matrix, measured once when the operator is made.
     """
 
     region: Region
-    local_dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
         region = as_region(self.region)
         object.__setattr__(self, "region", region)
-        if self.local_dim < 2:
-            raise StateError(f"local_dim must be >= 2, got {self.local_dim}")
-        dim = self.local_dim ** len(region)
+        dim = LOCAL_DIM ** len(region)
         mat = np.asarray(self.matrix)
         if mat.shape != (dim, dim):
             raise StateError(
-                f"matrix shape {mat.shape} does not match d^n = {dim} for {len(region)} sites"
+                f"matrix shape {mat.shape} does not match 2^n = {dim} for {len(region)} sites"
             )
         if not np.iscomplexobj(mat):
             mat = mat.astype(np.complex128)
@@ -168,7 +168,7 @@ class DensityOperator:
 
     @property
     def dim(self) -> int:
-        return self.local_dim ** len(self.region)
+        return LOCAL_DIM ** len(self.region)
 
     def site_pos(self, v) -> int:
         return self.region.index(tuple(v))
@@ -193,35 +193,33 @@ class DensityOperator:
 
 
 def _require_same_support(a: DensityOperator, b: DensityOperator) -> None:
-    if a.local_dim != b.local_dim:
-        raise RegionMismatchError(f"local dims differ: {a.local_dim} vs {b.local_dim}")
     if a.region != b.region:
         raise RegionMismatchError(f"regions differ: {a.region} vs {b.region}")
 
 
-def _reorder_sites(mat: np.ndarray, order: Sequence, new_order: Sequence, d: int) -> np.ndarray:
+def _reorder_sites(mat: np.ndarray, order: Sequence, new_order: Sequence) -> np.ndarray:
     """``mat``, with tensor factors on the sites ``order``, traced and permuted onto the sites ``new_order``.
 
-    One einsum of the ``(d,) * 2n`` leg view, which any view of ``mat`` (a transposed one too) gives without a copy;
+    One einsum of the ``(2,) * 2n`` leg view, which any view of ``mat`` (a transposed one too) gives without a copy;
     a traced site's column leg carries its row leg's label.  The result is contiguous and not symmetrized.
     """
     pos = {s: i for i, s in enumerate(order)}
     kept = [pos[s] for s in new_order]
-    n, dk = len(order), d ** len(kept)
+    n, dk = len(order), LOCAL_DIM ** len(kept)
     cols = [n + i if i in kept else i for i in range(n)]
-    t = np.einsum(mat.reshape((d,) * (2 * n)), list(range(n)) + cols, kept + [n + i for i in kept])
+    t = np.einsum(mat.reshape((LOCAL_DIM,) * (2 * n)), list(range(n)) + cols, kept + [n + i for i in kept])
     return np.ascontiguousarray(t).reshape(dk, dk)
 
 
-def apply_on_sites(op: np.ndarray, mat: np.ndarray, positions: Sequence[int], local_dim: int) -> np.ndarray:
+def apply_on_sites(op: np.ndarray, mat: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     """``op`` acting on the tensor factors at ``positions`` (identity on the rest) times ``mat``.
 
-    ``mat`` is a square d^n-dim matrix; ``op`` is d^k-dim with its factors in
+    ``mat`` is a square 2^n-dim matrix; ``op`` is 2^k-dim with its factors in
     the order of ``positions``.  Factors that are not already adjacent and in
     that order are moved in front and back again, so ``op (x) I`` is never
-    formed and the cost is d^(2n+k) rather than d^(3n).
+    formed and the cost is 2^(2n+k) rather than 2^(3n).
     """
-    d = local_dim
+    d = LOCAL_DIM
     n = round(math.log(mat.shape[0], d))
     k = len(positions)
     if d ** n != mat.shape[0] or op.shape != (d ** k,) * 2:
@@ -230,8 +228,8 @@ def apply_on_sites(op: np.ndarray, mat: np.ndarray, positions: Sequence[int], lo
     if list(positions) != list(range(start, start + k)):
         sites = range(n)
         front = list(positions) + [i for i in sites if i not in positions]
-        out = apply_on_sites(op, _reorder_sites(mat, sites, front, d), range(k), d)
-        return _reorder_sites(out, front, sites, d)
+        out = apply_on_sites(op, _reorder_sites(mat, sites, front), range(k))
+        return _reorder_sites(out, front, sites)
     return np.matmul(op, mat.reshape(d ** start, d ** k, -1)).reshape(mat.shape)
 
 
@@ -242,10 +240,10 @@ def partial_trace(op: DensityOperator, keep) -> DensityOperator:
         raise GeometryError(f"keep region {keep} is not contained in {op.region}")
     if keep == op.region:
         return op
-    return DensityOperator(keep, op.local_dim, _reorder_sites(op.matrix, op.region, keep, op.local_dim))
+    return DensityOperator(keep, _reorder_sites(op.matrix, op.region, keep))
 
 
-def embed_operator(mat: np.ndarray, sub, full, local_dim: int) -> np.ndarray:
+def embed_operator(mat: np.ndarray, sub, full) -> np.ndarray:
     """Tensor ``mat`` (acting on ``sub``) with identity on the rest of ``full``, canonically ordered."""
     sub = as_region(sub)
     full = as_region(full)
@@ -254,8 +252,8 @@ def embed_operator(mat: np.ndarray, sub, full, local_dim: int) -> np.ndarray:
     rest = [s for s in full if s not in set(sub)]
     if not rest:
         return mat
-    big = np.kron(mat, np.eye(local_dim ** len(rest), dtype=mat.dtype))
-    return _reorder_sites(big, list(sub) + rest, full, local_dim)
+    big = np.kron(mat, np.eye(LOCAL_DIM ** len(rest), dtype=mat.dtype))
+    return _reorder_sites(big, list(sub) + rest, full)
 
 
 def product_operator(ops: Iterable[DensityOperator]) -> DensityOperator:
@@ -263,18 +261,15 @@ def product_operator(ops: Iterable[DensityOperator]) -> DensityOperator:
     ops = list(ops)
     if not ops:
         raise ValueError("need at least one operator")
-    d = ops[0].local_dim
     seen: set = set()
     for op in ops:
-        if op.local_dim != d:
-            raise RegionMismatchError("local dims differ across factors")
         if seen & set(op.region):
             raise GeometryError("factor regions overlap")
         seen.update(op.region)
     full = region_union(*(op.region for op in ops))
     order = [s for op in ops for s in op.region]
-    mat = _reorder_sites(reduce(np.kron, (op.matrix for op in ops)), order, full, d)
-    return DensityOperator(full, d, mat)
+    mat = _reorder_sites(reduce(np.kron, (op.matrix for op in ops)), order, full)
+    return DensityOperator(full, mat)
 
 
 def _entropy_from_eigs(w: np.ndarray) -> float:

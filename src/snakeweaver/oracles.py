@@ -13,6 +13,7 @@ import numpy as np
 from .lattice import GeometryError, Region, Vertex, as_region, as_vertex, cluster_region
 from .marginal_store import MarginalSet, Window
 from .operator_core import (
+    LOCAL_DIM,
     DensityOperator,
     StateError,
     apply_on_sites,
@@ -58,35 +59,35 @@ def random_density_matrix(dim: int, rng) -> np.ndarray:
     return m / m.trace()
 
 
-def random_state(region, rng, local_dim: int = 2) -> DensityOperator:
+def random_state(region, rng) -> DensityOperator:
     region = as_region(region)
-    return DensityOperator(region, local_dim, random_density_matrix(local_dim ** len(region), rng))
+    return DensityOperator(region, random_density_matrix(LOCAL_DIM ** len(region), rng))
 
 
-def basis_state(region, digits: Sequence[int], local_dim: int = 2) -> DensityOperator:
+def basis_state(region, digits: Sequence[int]) -> DensityOperator:
     region = as_region(region)
     idx = 0
     for dgt in digits:
-        idx = idx * local_dim + int(dgt)
-    dim = local_dim ** len(region)
+        idx = idx * LOCAL_DIM + int(dgt)
+    dim = LOCAL_DIM ** len(region)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[idx, idx] = 1.0
-    return DensityOperator(region, local_dim, mat)
+    return DensityOperator(region, mat)
 
 
-def ghz_state(region, local_dim: int = 2) -> DensityOperator:
-    """(|0...0> + |d-1 ... d-1>)/sqrt(2) as a density operator."""
+def ghz_state(region) -> DensityOperator:
+    """(|0...0> + |1...1>)/sqrt(2) as a density operator."""
     region = as_region(region)
-    dim = local_dim ** len(region)
+    dim = LOCAL_DIM ** len(region)
     vec = np.zeros(dim, dtype=complex)
     vec[0] = vec[-1] = 1.0 / np.sqrt(2.0)
-    return DensityOperator(region, local_dim, np.outer(vec, vec.conj()))
+    return DensityOperator(region, np.outer(vec, vec.conj()))
 
 
-def maximally_mixed(region, local_dim: int = 2) -> DensityOperator:
+def maximally_mixed(region) -> DensityOperator:
     region = as_region(region)
-    dim = local_dim ** len(region)
-    return DensityOperator(region, local_dim, np.eye(dim, dtype=complex) / dim)
+    dim = LOCAL_DIM ** len(region)
+    return DensityOperator(region, np.eye(dim, dtype=complex) / dim)
 
 
 # -- classical Markov chains -------------------------------------------------
@@ -101,28 +102,25 @@ class ClassicalChain:
     transitions: list
 
     @classmethod
-    def random(cls, length: int, d: int, rng, floor: float = 0.1) -> "ClassicalChain":
+    def random(cls, length: int, rng) -> "ClassicalChain":
+        """A chain of ``length`` bits whose probabilities are uniform draws shifted up by 0.1, then normalized."""
         rng = _rng(rng)
-        init = rng.random(d) + floor
+        init = rng.random(LOCAL_DIM) + 0.1
         init /= init.sum()
         trans = []
         for _ in range(length - 1):
-            t = rng.random((d, d)) + floor
+            t = rng.random((LOCAL_DIM, LOCAL_DIM)) + 0.1
             t /= t.sum(axis=1, keepdims=True)
             trans.append(t)
         return cls(init, trans)
 
     @classmethod
-    def repetition(cls, length: int, d: int = 2) -> "ClassicalChain":
-        return cls(np.full(d, 1.0 / d), [np.eye(d) for _ in range(length - 1)])
+    def repetition(cls, length: int) -> "ClassicalChain":
+        return cls(np.full(LOCAL_DIM, 1.0 / LOCAL_DIM), [np.eye(LOCAL_DIM) for _ in range(length - 1)])
 
     @property
     def length(self) -> int:
         return len(self.transitions) + 1
-
-    @property
-    def d(self) -> int:
-        return len(self.initial)
 
     def start_distribution(self, c: int) -> np.ndarray:
         p = self.initial
@@ -136,7 +134,7 @@ class ClassicalChain:
         out = p
         for c in range(a, b):
             out = out[..., :, None] * self.transitions[c][(None,) * (out.ndim - 1)]
-        return out.reshape((self.d,) * (b - a + 1))
+        return out.reshape((LOCAL_DIM,) * (b - a + 1))
 
     def marginal(self, positions: Sequence[int]) -> np.ndarray:
         """Probability tensor over an arbitrary sorted subset of positions."""
@@ -150,7 +148,7 @@ class ClassicalChain:
         return out
 
 
-def _conjugate_sites(mat: np.ndarray, region: Region, unitaries: dict, local_dim: int) -> np.ndarray:
+def _conjugate_sites(mat: np.ndarray, region: Region, unitaries: dict) -> np.ndarray:
     """U mat U^dag for U the product of the site unitaries, one leg at a time; ``mat`` is consumed.
 
     U M U^dag = (conj(U) (U M)^T)^T, with both transposes made in place, so
@@ -162,10 +160,10 @@ def _conjugate_sites(mat: np.ndarray, region: Region, unitaries: dict, local_dim
     if not legs:
         return mat
     for i, u in legs:
-        mat = apply_on_sites(u, mat, [i], local_dim)
+        mat = apply_on_sites(u, mat, [i])
     _transpose_in_place(mat)
     for i, u in legs:
-        mat = apply_on_sites(u.conj(), mat, [i], local_dim)
+        mat = apply_on_sites(u.conj(), mat, [i])
     _transpose_in_place(mat)
     return mat
 
@@ -184,20 +182,18 @@ class RowMarkovSource:
         seed=0,
         orientation: str = "rows",
         unitaries: str = "haar",
-        local_dim: int = 2,
         chains: list | None = None,
     ):
         if orientation not in ("rows", "columns"):
             raise ValueError(f"orientation must be 'rows' or 'columns', got {orientation!r}")
         self.window = window
-        self.local_dim = local_dim
         self.orientation = orientation
         self.seed = seed
         rng = _rng(seed)
         n_chains = window.height if orientation == "rows" else window.width
         chain_len = window.width if orientation == "rows" else window.height
         if chains is None:
-            chains = [ClassicalChain.random(chain_len, local_dim, rng) for _ in range(n_chains)]
+            chains = [ClassicalChain.random(chain_len, rng) for _ in range(n_chains)]
         if len(chains) != n_chains or any(c.length != chain_len for c in chains):
             raise ValueError("chain list does not match the window geometry")
         self.chains = list(chains)
@@ -207,7 +203,7 @@ class RowMarkovSource:
         if unitaries != "none":
             make = haar_unitary if unitaries == "haar" else random_orthogonal
             for v in window.sites():
-                self.site_unitaries[v] = make(local_dim, rng)
+                self.site_unitaries[v] = make(LOCAL_DIM, rng)
 
     def _chain_and_pos(self, v: Vertex) -> tuple[int, int]:
         if self.orientation == "rows":
@@ -225,20 +221,20 @@ class RowMarkovSource:
             groups.setdefault(c, []).append((p, v))
         # every site lies on its chain, so the chains' marginals cover the region
         n, pos = len(region), {v: i for i, v in enumerate(region)}
-        out = np.ones((self.local_dim,) * n)
+        out = np.ones((LOCAL_DIM,) * n)
         for c, items in groups.items():
             items.sort()
             tensor = self.chains[c].marginal([p for p, _ in items])
             axes = [pos[v] for _, v in items]
-            shape = [self.local_dim if i in axes else 1 for i in range(n)]
+            shape = [LOCAL_DIM if i in axes else 1 for i in range(n)]
             out = out * np.transpose(tensor, np.argsort(axes)).reshape(shape)
         return out
 
     def marginal(self, region) -> DensityOperator:
         region = as_region(region)
         p = self.probability_tensor(region).reshape(-1).astype(complex)
-        mat = _conjugate_sites(np.diag(p), region, self.site_unitaries, self.local_dim)
-        return DensityOperator(region, self.local_dim, mat)
+        mat = _conjugate_sites(np.diag(p), region, self.site_unitaries)
+        return DensityOperator(region, mat)
 
     def region_entropy(self, region) -> float:
         """Exact entropy in bits from the classical distribution; unitaries do not change it."""
@@ -249,21 +245,15 @@ class RowMarkovSource:
 
     def marginal_set(self) -> MarginalSet:
         margs = {a: self.marginal(cluster_region(a, 3, 3)) for a in self.window.cluster_anchors()}
-        return MarginalSet(self.window, self.local_dim, margs)
+        return MarginalSet(self.window, margs)
 
     def global_state(self) -> DensityOperator:
-        check_dim_guard(self.local_dim ** (self.window.width * self.window.height))
+        check_dim_guard(LOCAL_DIM ** (self.window.width * self.window.height))
         return self.marginal(self.window.sites())
 
 
-def gen_row_markov(
-    window: Window,
-    seed=0,
-    orientation: str = "rows",
-    unitaries: str = "haar",
-    local_dim: int = 2,
-) -> RowMarkovSource:
-    return RowMarkovSource(window, seed, orientation, unitaries, local_dim)
+def gen_row_markov(window: Window, seed=0, orientation: str = "rows", unitaries: str = "haar") -> RowMarkovSource:
+    return RowMarkovSource(window, seed, orientation, unitaries)
 
 
 def gen_repetition_rows(window: Window, unitaries: str = "none", seed=0) -> RowMarkovSource:
@@ -275,20 +265,18 @@ def gen_repetition_rows(window: Window, unitaries: str = "none", seed=0) -> RowM
 class ProductSource:
     """Independent single-site states; the degenerate base case of every check."""
 
-    def __init__(self, window: Window, site_states: dict | None = None, seed=0, local_dim: int = 2):
+    def __init__(self, window: Window, site_states: dict | None = None, seed=0):
         self.window = window
-        self.local_dim = local_dim
         rng = _rng(seed)
         self.site_states: dict[Vertex, np.ndarray] = {}
         for v in window.sites():
             if site_states and v in site_states:
                 self.site_states[v] = np.asarray(site_states[v], dtype=complex)
             else:
-                self.site_states[v] = random_density_matrix(local_dim, rng)
+                self.site_states[v] = random_density_matrix(LOCAL_DIM, rng)
 
     def marginal(self, region) -> DensityOperator:
-        d = self.local_dim
-        return product_operator([DensityOperator((v,), d, self.site_states[v]) for v in as_region(region)])
+        return product_operator([DensityOperator((v,), self.site_states[v]) for v in as_region(region)])
 
     def region_entropy(self, region) -> float:
         total = 0.0
@@ -299,15 +287,15 @@ class ProductSource:
 
     def marginal_set(self) -> MarginalSet:
         margs = {a: self.marginal(cluster_region(a, 3, 3)) for a in self.window.cluster_anchors()}
-        return MarginalSet(self.window, self.local_dim, margs)
+        return MarginalSet(self.window, margs)
 
     def global_state(self) -> DensityOperator:
-        check_dim_guard(self.local_dim ** (self.window.width * self.window.height))
+        check_dim_guard(LOCAL_DIM ** (self.window.width * self.window.height))
         return self.marginal(self.window.sites())
 
 
-def gen_product(window: Window, site_states: dict | None = None, seed=0, local_dim: int = 2) -> ProductSource:
-    return ProductSource(window, site_states, seed, local_dim)
+def gen_product(window: Window, site_states: dict | None = None, seed=0) -> ProductSource:
+    return ProductSource(window, site_states, seed)
 
 
 def ghz_row_state(window: Window) -> DensityOperator:
@@ -315,7 +303,7 @@ def ghz_row_state(window: Window) -> DensityOperator:
 
     With width 3 the full GHZ row sits inside every cluster, so the Markov checks must fail.
     """
-    check_dim_guard(2 ** len(window.sites()))
+    check_dim_guard(LOCAL_DIM ** len(window.sites()))
     row = window.height - 1
     row_sites = as_region([(x, row) for x in range(window.width)])
     rest = as_region([v for v in window.sites() if v[1] != row])
@@ -341,7 +329,7 @@ def depolarization_anchor(anchors, anchor, eps: float) -> Vertex:
 def depolarize(op: DensityOperator, eps: float) -> DensityOperator:
     """(1-eps) rho + eps I/D."""
     mixed = (1.0 - eps) * op.matrix + eps * np.eye(op.dim) / op.dim
-    return DensityOperator(op.region, op.local_dim, mixed)
+    return DensityOperator(op.region, mixed)
 
 
 def depolarize_marginal(ms: MarginalSet, anchor, eps: float) -> MarginalSet:
@@ -349,7 +337,7 @@ def depolarize_marginal(ms: MarginalSet, anchor, eps: float) -> MarginalSet:
     anchor = depolarization_anchor(ms.anchors(), anchor, eps)
     margs = dict(ms.marginals)
     margs[anchor] = depolarize(margs[anchor], eps)
-    return MarginalSet(ms.window, ms.local_dim, margs)
+    return MarginalSet(ms.window, margs)
 
 
 # -- stabilizer states over GF(2) ---------------------------------------------
@@ -439,9 +427,9 @@ class StabilizerState:
             for i in range(self.n):
                 xb, zb = int(row[i]), int(row[self.n + i])
                 if xb or zb:
-                    g_rho = apply_on_sites(_PAULI[(xb, zb)], g_rho, [i], 2)
+                    g_rho = apply_on_sites(_PAULI[(xb, zb)], g_rho, [i])
             rho = (rho + g_rho) / 2.0
-        return DensityOperator(self.sites, 2, rho / rho.trace())
+        return DensityOperator(self.sites, rho / rho.trace())
 
 
 def repetition_rows(window: Window) -> StabilizerState:
@@ -474,12 +462,12 @@ def ghz_stabilizer(sites) -> StabilizerState:
 # -- exact quantum Markov chains ----------------------------------------------
 
 
-def tripartite_regions(dA: int, dB: int, dC: int, local_dim: int = 2) -> tuple[Region, Region, Region]:
+def tripartite_regions(dA: int, dB: int, dC: int) -> tuple[Region, Region, Region]:
     """Consecutive row sites carrying the three tensor factors."""
     def n_sites(dim):
-        n = round(np.log(dim) / np.log(local_dim))
-        if local_dim ** n != dim:
-            raise ValueError(f"dimension {dim} is not a power of local_dim {local_dim}")
+        n = round(np.log(dim) / np.log(LOCAL_DIM))
+        if LOCAL_DIM ** n != dim:
+            raise ValueError(f"dimension {dim} is not a power of 2")
         return n
 
     na, nb, nc = n_sites(dA), n_sites(dB), n_sites(dC)
@@ -496,7 +484,6 @@ def gen_qmc_triple(
     dC: int,
     blocks: Sequence[tuple[int, int]],
     seed=0,
-    local_dim: int = 2,
 ) -> DensityOperator:
     """Sample an exact quantum Markov chain via the direct-sum structure of B.
 
@@ -511,7 +498,7 @@ def gen_qmc_triple(
         raise ValueError(f"block structure needs dimension {used}, but dB = {dB}")
     if not blocks:
         raise ValueError("need at least one block")
-    a_reg, b_reg, c_reg = tripartite_regions(dA, dB, dC, local_dim)
+    a_reg, b_reg, c_reg = tripartite_regions(dA, dB, dC)
     weights = rng.dirichlet(np.full(len(blocks), 5.0)) if len(blocks) > 1 else np.array([1.0])
     weights = (weights + 0.05) / (weights + 0.05).sum()
     big = np.zeros((dA, dB, dC, dA, dB, dC), dtype=complex)
@@ -525,7 +512,7 @@ def gen_qmc_triple(
     dim = dA * dB * dC
     mat = big.reshape(dim, dim)
     mat = 0.5 * (mat + mat.conj().T)
-    return DensityOperator(as_region(a_reg + b_reg + c_reg), local_dim, mat / mat.trace().real)
+    return DensityOperator(as_region(a_reg + b_reg + c_reg), mat / mat.trace().real)
 
 
 # -- brute-force maximum entropy ------------------------------------------------
@@ -570,7 +557,6 @@ def brute_force_maxent(
     constraints: Sequence[tuple],
     global_region,
     *,
-    local_dim: int = 2,
     tol: float = 1e-9,
     max_iter: int = 100_000,
 ) -> MaxEntSolution:
@@ -585,7 +571,7 @@ def brute_force_maxent(
     from scipy.optimize import minimize
 
     global_region = as_region(global_region)
-    dim = local_dim ** len(global_region)
+    dim = LOCAL_DIM ** len(global_region)
     check_dim_guard(dim, 2 ** 12)
     cons = []
     for region, op in constraints:
@@ -593,11 +579,11 @@ def brute_force_maxent(
         if not set(region) <= set(global_region):
             raise GeometryError(f"constraint region {region} is outside the global region")
         target = op.matrix if isinstance(op, DensityOperator) else np.asarray(op, dtype=complex)
-        if target.shape != (local_dim ** len(region),) * 2:
+        if target.shape != (LOCAL_DIM ** len(region),) * 2:
             raise StateError(f"constraint on {region} has wrong dimension {target.shape}")
         cons.append((region, target))
 
-    sizes = [local_dim ** len(r) for r, _ in cons]
+    sizes = [LOCAL_DIM ** len(r) for r, _ in cons]
     param_sizes = [d * d for d in sizes]
     offsets = np.concatenate([[0], np.cumsum(param_sizes)])
 
@@ -608,7 +594,7 @@ def brute_force_maxent(
         """log Z, the Boltzmann weights and rho = exp(H) / Z for H = sum of embedded multipliers."""
         h = np.zeros((dim, dim), dtype=complex)
         for (region, _), piece, d_r in zip(cons, split(x), sizes):
-            h += embed_operator(_herm_from_vec(piece, d_r), region, global_region, local_dim)
+            h += embed_operator(_herm_from_vec(piece, d_r), region, global_region)
         w, u = _eigh(h)
         shift = w.max()
         expw = np.exp(w - shift)
@@ -619,7 +605,7 @@ def brute_force_maxent(
 
     def objective(x):
         val, _, rho = gibbs(x)
-        state = DensityOperator(global_region, local_dim, rho)
+        state = DensityOperator(global_region, rho)
         grads = []
         for (region, target), piece, d_r in zip(cons, split(x), sizes):
             lam = _herm_from_vec(piece, d_r)
@@ -630,7 +616,7 @@ def brute_force_maxent(
 
     def solve_state(x):
         _, p, rho = gibbs(x)
-        state = DensityOperator(global_region, local_dim, rho / rho.trace().real)
+        state = DensityOperator(global_region, rho / rho.trace().real)
         residual = 0.0
         for region, target in cons:
             diff = partial_trace(state, region).matrix - target

@@ -26,6 +26,7 @@ from .marginal_store import (
 )
 from .merge import right_merge_info, right_merge_marginals
 from .operator_core import (
+    LOCAL_DIM,
     TRACE_TOL,
     DensityOperator,
     check_dim_guard,
@@ -103,7 +104,7 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     detail says which.
     """
     window = ms.window
-    check_dim_guard(ms.local_dim ** (window.width * window.height))
+    check_dim_guard(LOCAL_DIM ** (window.width * window.height))
 
     sigma = build_snake(ms, SnakeSpec(2, (0, 0), (window.width - 1, 0)))
     clusters = [cluster_region(anchor, 3, 3) for anchor in ms.anchors()]
@@ -230,8 +231,8 @@ def uniqueness_certificate(
     distance <= sqrt(8 gap) + tol.  Entropies are compared in bits.  On
     hypothesis failure the distance claim is omitted.
     """
-    if rho.region != sigma.region or rho.local_dim != sigma.local_dim:
-        raise GeometryError("states must share a region and local dimension")
+    if rho.region != sigma.region:
+        raise GeometryError("states must share a region")
     blocks = validate_block_path(path)
     report = CheckReport()
     seen: set = set()
@@ -256,9 +257,7 @@ def uniqueness_certificate(
 
     hypotheses_hold = report.passed
     if hypotheses_hold:
-        tau = DensityOperator(
-            rho.region, rho.local_dim, 0.5 * (rho.matrix + sigma.matrix)
-        )
+        tau = DensityOperator(rho.region, 0.5 * (rho.matrix + sigma.matrix))
         gap_nats = math.log(2.0) * (med(tau, blocks) - 0.5 * (s_rho + s_sigma))
         gap_nats = max(float(gap_nats), 0.0)
         bound = math.sqrt(8.0 * gap_nats) + tol

@@ -30,6 +30,7 @@ from .marginal_store import CheckReport, MarginalSet, _region_json
 from .merge import right_merge
 from .operator_core import (
     DENSE_DIM_GUARD,
+    LOCAL_DIM,
     DensityOperator,
     DimensionGuardError,
     cmi,
@@ -121,8 +122,8 @@ def _merge_plan(spec: SnakeSpec) -> list[Region]:
     return [base] + lower + flat
 
 
-def max_span_for_guard(level: int, local_dim: int) -> int:
-    return int(math.floor(math.log(DENSE_DIM_GUARD) / math.log(local_dim) / level)) - 1
+def max_span_for_guard(level: int) -> int:
+    return int(math.floor(math.log(DENSE_DIM_GUARD) / math.log(LOCAL_DIM) / level)) - 1
 
 
 def build_snake(ms: MarginalSet, spec: SnakeSpec) -> DensityOperator:
@@ -130,12 +131,11 @@ def build_snake(ms: MarginalSet, spec: SnakeSpec) -> DensityOperator:
     support = spec.support()
     if not ms.window.contains_region(support):
         raise GeometryError(f"snake support {support} extends outside the window")
-    dim = ms.local_dim ** len(support)
+    dim = LOCAL_DIM ** len(support)
     if dim > DENSE_DIM_GUARD:
         raise DimensionGuardError(
             f"snake on {len(support)} sites needs dimension {dim} > guard {DENSE_DIM_GUARD}; "
-            f"maximal span at level {spec.level} and d={ms.local_dim} is "
-            f"{max_span_for_guard(spec.level, ms.local_dim)}"
+            f"maximal span at level {spec.level} and d={LOCAL_DIM} is {max_span_for_guard(spec.level)}"
         )
     plan = _merge_plan(spec)
     state = ms.derived_marginal(plan[0])

@@ -377,7 +377,7 @@ def test_criterion_9_invariant_suite():
     jensen_worst = 0.0
     for _ in range(200):
         a, b = random_state(sites3, rng), random_state(sites3, rng)
-        mix = DensityOperator(sites3, 2, 0.5 * (a.matrix + b.matrix))
+        mix = DensityOperator(sites3, 0.5 * (a.matrix + b.matrix))
         gap = math.log(2) * (entropy(mix) - 0.5 * (entropy(a) + entropy(b)))
         jensen_worst = max(jensen_worst, (2 * trace_distance(a, b)) ** 2 / 8 - gap)
 

@@ -264,7 +264,7 @@ def test_reconstruct_reports_the_exact_path_for_a_random_pure_state(tmp_path, ca
     psi = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     psi /= np.linalg.norm(psi)
     path = tmp_path / "pure.npz"
-    MarginalSet.from_global(DensityOperator(window.sites(), 2, np.outer(psi, psi.conj())), window).save(path)
+    MarginalSet.from_global(DensityOperator(window.sites(), np.outer(psi, psi.conj())), window).save(path)
     assert run("reconstruct", str(path), "--force", "--json") == 1  # a pure state is not Markov
     payload = json.loads(capsys.readouterr().out)
     assert payload["entropy_method"] == "exact"

@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from snakeweaver.cli import main
 from snakeweaver.lattice import as_region, cluster_region, region_intersection, region_union
 from snakeweaver.marginal_store import (
     CheckReport,
@@ -237,14 +238,13 @@ def test_file_round_trip_is_bit_exact(tmp_path):
     for a, op in ms.marginals.items():
         mat = op.matrix.copy()
         mat.imag[...] = -0.0  # signed zeros survive only a bit-exact format
-        margs[a] = DensityOperator(op.region, op.local_dim, mat)
-    ms = MarginalSet(ms.window, ms.local_dim, margs)
+        margs[a] = DensityOperator(op.region, mat)
+    ms = MarginalSet(ms.window, margs)
     path = tmp_path / "m.json"
     ms.save(path)
     assert path.exists()  # written at exactly this path, with no suffix added
     back = MarginalSet.load(path)
     assert back.window == ms.window
-    assert back.local_dim == ms.local_dim
     assert back.anchors() == ms.anchors()
     for a in ms.anchors():
         assert np.signbit(back.marginals[a].matrix.imag).all()
@@ -273,6 +273,7 @@ def test_file_parser_rejections(tmp_path):
     reject(lambda d: d.__setitem__("anchors", np.array([[0, 0]])))  # outside anchor set
     reject(lambda d: d.update(anchors=d["anchors"].repeat(2, axis=0), matrices=d["matrices"].repeat(2, axis=0)))
     reject(lambda d: d.__setitem__("local_dim", np.int64(1)))
+    reject(lambda d: d.__setitem__("local_dim", np.int64(3)))
     reject(lambda d: d.__setitem__("window", np.array([3, 3, 3])))
     reject(lambda d: d.__setitem__("matrices", d["matrices"].astype(np.complex64)))
 
@@ -323,28 +324,63 @@ def test_a_stack_is_written_as_its_stacked_array(tmp_path):
     assert (tmp_path / "s.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
 
 
-def test_a_matrices_header_declaring_a_huge_shape_is_refused_before_any_allocation(tmp_path):
-    # (1, 8192, 8192) complex128 is 1 GiB; the member holds 4 KB of it
-    path = tmp_path / "huge.npz"
+def _crafted_container(path, crafted: str, descr: str, shape: tuple, **members) -> None:
+    """A 3x3-window marginal container whose member ``crafted`` declares ``descr`` of ``shape`` over 4 KB of data;
+    ``members`` replace or add to the others."""
     members = {"format_version": np.int64(2), "window": np.array([3, 3]), "local_dim": np.int64(2),
-               "anchors": np.array([[2, 0]])}
+               "anchors": np.array([[2, 0]]), **members}
     with zipfile.ZipFile(path, "w") as zf:
         for name, value in members.items():
-            with zf.open(f"{name}.npy", "w") as fh:
-                np.lib.format.write_array(fh, value)
-        with zf.open("matrices.npy", "w") as fh:
-            np.lib.format.write_array_header_1_0(
-                fh, {"descr": "<c16", "fortran_order": False, "shape": (1, 8192, 8192)}
-            )
+            if name != crafted:
+                with zf.open(f"{name}.npy", "w") as fh:
+                    np.lib.format.write_array(fh, value)
+        with zf.open(f"{crafted}.npy", "w") as fh:
+            np.lib.format.write_array_header_1_0(fh, {"descr": descr, "fortran_order": False, "shape": shape})
             fh.write(bytes(4096))
+
+
+def _traced_peak(call):
+    """``call()`` and the tracemalloc peak, in bytes, of the allocations it made."""
     tracemalloc.start()
     try:
-        with pytest.raises(MarginalFileError, match="matrices"):
-            MarginalSet.load(path)
+        out = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def _refuse_load(path, match):
+    with pytest.raises(MarginalFileError, match=match):
+        MarginalSet.load(path)
+
+
+def test_a_matrices_header_declaring_a_huge_shape_is_refused_before_any_allocation(tmp_path):
+    # (1, 8192, 8192) complex128 is 1 GiB; the member holds 4 KB of it
+    path = tmp_path / "huge.npz"
+    _crafted_container(path, "matrices", "<c16", (1, 8192, 8192))
+    _, peak = _traced_peak(lambda: _refuse_load(path, "matrices"))
     assert peak < 16 * 2 ** 20
+
+
+def test_an_anchors_header_declaring_too_many_rows_is_refused_before_any_allocation(tmp_path):
+    # (50_000_000, 2) int64 is 800 MB; the member holds 4 KB of it, and a 3x3 window has one cluster
+    path = tmp_path / "anchors.npz"
+    _crafted_container(path, "anchors", "<i8", (50_000_000, 2), matrices=np.zeros((1, 512, 512), complex))
+    _, peak = _traced_peak(lambda: _refuse_load(path, "has 1 3x3 clusters, got 50000000 marginals"))
+    assert peak < 10 * 2 ** 20
+
+
+def test_a_file_of_qutrits_is_refused_from_its_local_dim_before_its_matrices_are_read(tmp_path, capsys):
+    # 3^9 = 19683: a matching matrices header declares 6.2 GB for the one cluster; the member holds 4 KB of it
+    path = tmp_path / "qutrits.npz"
+    _crafted_container(path, "matrices", "<c16", (1, 3 ** 9, 3 ** 9), local_dim=np.int64(3))
+    code, peak = _traced_peak(lambda: main(["check", str(path)]))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "local_dim is 3" in err and "dense guard" in err
+    assert peak < 10 * 2 ** 20
 
 
 def test_check_report_summary_matches_records():

@@ -91,24 +91,24 @@ def test_right_merge_petz_formula_example():
     # keeps sigma on AB and leaves C maximally mixed
     sigma = basis_state(S[:2], [0, 0])
     rho = maximally_mixed(S[1:3])
-    out, info = right_merge_info(sigma, rho)
+    out, trace = right_merge_info(sigma, rho)
     expect = product_operator(
         [basis_state([S[0]], [0]), basis_state([S[1]], [0]), maximally_mixed([S[2]])]
     )
     assert trace_distance(out, expect) < 1e-12
-    assert info.overlap == as_region([S[1]])
+    assert trace == pytest.approx(1.0, abs=1e-12)  # rho_B is I/2, so its support projector keeps all of sigma_B
     # both operands rank one, agreeing on B: the merge is the basis state they share
-    out, info = right_merge_info(sigma, basis_state(S[1:3], [0, 1]))
+    out, trace = right_merge_info(sigma, basis_state(S[1:3], [0, 1]))
     assert trace_distance(out, basis_state(S[:3], [0, 0, 1])) < 1e-12
-    assert info.trace_before_renorm == pytest.approx(1.0, abs=1e-12)
+    assert trace == pytest.approx(1.0, abs=1e-12)
 
 
 def test_right_merge_trace_deviation_small_on_consistent_inputs():
     st = chain_state(1)
     sigma = partial_trace(st, S[:3])
     rho = partial_trace(st, S[1:])
-    out, info = right_merge_info(sigma, rho)
-    assert abs(info.trace_before_renorm - 1.0) <= 1e-8
+    out, trace = right_merge_info(sigma, rho)
+    assert abs(trace - 1.0) <= 1e-8
     assert abs(out.matrix.trace() - 1.0) < 1e-13
     assert trace_distance(out, st) < 1e-9
 
@@ -167,7 +167,7 @@ def test_right_merge_matches_dense_petz_on_interleaved_2d_pair():
     rng = np.random.default_rng(14)
     sigma = random_state([(0, 0), (1, 0), (0, 1), (1, 1)], rng)
     rho = random_state([(1, 0), (2, 0), (1, 1), (2, 1)], rng)
-    out, info = right_merge_info(sigma, rho)
+    out, trace = right_merge_info(sigma, rho)
     total = out.region
     overlap = as_region([(1, 0), (1, 1)])
     rho_b = partial_trace(rho, overlap)
@@ -175,7 +175,7 @@ def test_right_merge_matches_dense_petz_on_interleaved_2d_pair():
     k_full = _dense_embed(k, rho.region, total, 2)
     expect = k_full @ _dense_embed(sigma.matrix, sigma.region, total, 2) @ k_full.conj().T
     expect = 0.5 * (expect + expect.conj().T)
-    assert info.trace_before_renorm == pytest.approx(expect.trace().real, abs=1e-12)
+    assert trace == pytest.approx(expect.trace().real, abs=1e-12)
     assert np.max(np.abs(out.matrix - expect / expect.trace().real)) < 1e-12
 
 
@@ -183,7 +183,7 @@ _INTERLEAVED = ([(0, 0), (1, 0), (0, 1), (1, 1)], [(1, 0), (2, 0), (1, 1), (2, 1
 _ROW_STRIPS = ([(x, y) for y in (0, 1) for x in (0, 1)], [(x, y) for y in (1, 2) for x in (0, 1)])
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2])
 @pytest.mark.parametrize(
     "regions,mixed",
     [(_INTERLEAVED, [(0, 0), (1, 1), (2, 0)]), (_ROW_STRIPS, [(0, 0), (1, 1), (0, 2), (1, 2)])],
@@ -193,13 +193,13 @@ def test_right_merge_marginal_is_the_reduced_dense_merge(d, regions, mixed):
     # A+B and the whole union go through the superoperator, B+C through the direct product;
     # the reference is the literal Kronecker Petz formula, reduced by partial traces
     rng = np.random.default_rng(15)
-    sigma, rho = (random_state(r, rng, d) for r in regions)
+    sigma, rho = (random_state(r, rng) for r in regions)
     total, overlap = region_union(sigma.region, rho.region), region_intersection(sigma.region, rho.region)
     k = sqrt_psd(rho.matrix) @ _dense_embed(pinv_sqrt_psd(partial_trace(rho, overlap).matrix), overlap, rho.region, d)
     k_full = _dense_embed(k, rho.region, total, d)
     expect = k_full @ _dense_embed(sigma.matrix, sigma.region, total, d) @ k_full.conj().T
     trace = expect.trace().real
-    expect = DensityOperator(total, d, 0.5 * (expect + expect.conj().T) / trace)
+    expect = DensityOperator(total, 0.5 * (expect + expect.conj().T) / trace)
     keeps = [sigma.region, rho.region, as_region(mixed), total]
     marginals, traces = zip(*right_merge_marginals(sigma, rho, keeps))
     first_trace = traces[0]

@@ -40,7 +40,7 @@ from snakeweaver.oracles import (
 
 
 def test_classical_chain_marginals_are_consistent():
-    chain = ClassicalChain.random(5, 2, np.random.default_rng(0))
+    chain = ClassicalChain.random(5, np.random.default_rng(0))
     joint = chain.joint(0, 4)
     assert joint.sum() == pytest.approx(1.0, abs=1e-12)
     direct = chain.marginal([1, 3])
@@ -83,14 +83,14 @@ def test_uniform_independent_transitions_give_product():
     assert trace_distance(state, product_operator(singles)) < 1e-12
 
 
-def _conjugate_sites_on_views(mat, region, unitaries, local_dim):
+def _conjugate_sites_on_views(mat, region, unitaries):
     """The leg-by-leg conjugation on transposed views, with a copy at each transpose: the reference arithmetic."""
     legs = [(i, unitaries[v]) for i, v in enumerate(region) if v in unitaries]
     for i, u in legs:
-        mat = apply_on_sites(u, mat, [i], local_dim)
+        mat = apply_on_sites(u, mat, [i])
     mat = mat.T
     for i, u in legs:
-        mat = apply_on_sites(u.conj(), mat, [i], local_dim)
+        mat = apply_on_sites(u.conj(), mat, [i])
     return mat.T
 
 
@@ -113,7 +113,7 @@ def test_row_markov_builds_are_bitwise_the_view_conjugation_and_match_the_dense_
     op = build()
     p = src.probability_tensor(region).reshape(-1)
     ref = np.ascontiguousarray(
-        _conjugate_sites_on_views(np.diag(p).astype(complex), region, src.site_unitaries, src.local_dim)
+        _conjugate_sites_on_views(np.diag(p).astype(complex), region, src.site_unitaries)
     )
     assert np.array_equal(op.matrix, ref)
     assert op.matrix.tobytes() == ref.tobytes()

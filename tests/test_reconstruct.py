@@ -130,7 +130,7 @@ def test_a_random_pure_state_takes_the_exact_path():
     rng = np.random.default_rng(2)
     psi = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     psi /= np.linalg.norm(psi)
-    ms = MarginalSet.from_global(DensityOperator(window.sites(), 2, np.outer(psi, psi.conj())), window)
+    ms = MarginalSet.from_global(DensityOperator(window.sites(), np.outer(psi, psi.conj())), window)
     res = reconstruct_global(ms)
     [(bound, exact)], dense = _replay_steps(ms)
     assert 0.1 < bound < 0.3 and 0.05 < exact < 0.1  # the bound holds but is far above tol

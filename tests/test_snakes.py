@@ -164,7 +164,7 @@ def test_dimension_guard_names_span():
     with pytest.raises(DimensionGuardError) as err:
         build_snake(ms, SnakeSpec(3, (0, 0), (4, 0)))
     assert "maximal span" in str(err.value)
-    assert max_span_for_guard(3, 2) == 3
+    assert max_span_for_guard(3) == 3
 
 
 def test_window_containment():

@@ -1,7 +1,8 @@
 """Every name a module in ``src/`` or ``tests/`` imports is referenced in that module, every module-level
 UPPER_CASE constant and every function, method and property in ``src/`` is read somewhere in ``src/``, ``tests/`` or
-``perfbench/``, every exception class defined in ``src/`` is raised somewhere in ``src/``, and only the two functions
-that need the exact value read ``trace_distance`` in ``src/``."""
+``perfbench/``, every exception class defined in ``src/`` is raised somewhere in ``src/``, only the two functions
+that need the exact value read ``trace_distance`` in ``src/``, and the local dimension is one constant of
+``operator_core`` that nothing in ``src/`` sets."""
 
 import ast
 import builtins
@@ -125,6 +126,28 @@ def functions_reading(defining: dict[str, str], target: str) -> list[str]:
     return sorted(found)
 
 
+def local_dimension_settings(defining: dict[str, str], home: str) -> list[str]:
+    """``path:name`` of each parameter of a function or lambda, and each annotated class field, of ``defining`` that
+    is named ``local_dim`` or ``d``, and ``path:LOCAL_DIM`` of each assignment to ``LOCAL_DIM``, bare or as an
+    attribute, in any module but ``home``."""
+    names = {"local_dim", "d"}
+    found = []
+    for path, source in defining.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                found += [f"{path}:{p.arg}" for p in params if p.arg in names]
+            elif isinstance(node, ast.ClassDef):
+                found += [f"{path}:{f.target.id}" for f in node.body
+                          if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name) and f.target.id in names]
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and path != home:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [f"{path}:LOCAL_DIM" for t in targets
+                          if getattr(t, "id", getattr(t, "attr", None)) == "LOCAL_DIM"]
+    return sorted(found)
+
+
 def test_the_scan_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nimport numpy as np\nfrom math import pi, tau\n"
     source += "np.sqrt(pi)\n"
@@ -170,6 +193,20 @@ def test_the_scan_finds_every_reader_of_a_name():
     assert functions_reading(defining, "exact") == ["a.py:certified", "b.py:<module>", "b.py:inner"]
 
 
+def test_the_scan_finds_every_setting_of_the_local_dimension():
+    defining = {
+        "core.py": "LOCAL_DIM = 2\ndef ok(dim, *, dims=LOCAL_DIM):\n    d = dim\n    return d\n",
+        "a.py": "from dataclasses import dataclass\n@dataclass\nclass Op:\n    local_dim: int\n    dim: int = 2\n"
+                "def f(x, d):\n    pass\nclass K:\n    def m(self, *, local_dim=2):\n        pass\n"
+                "g = lambda d: d\n",
+        "b.py": "import core\nLOCAL_DIM: int = 3\ncore.LOCAL_DIM = 3\ndef h(**d):\n    core.LOCAL_DIM += 1\n",
+    }
+    assert local_dimension_settings(defining, "core.py") == [
+        "a.py:d", "a.py:d", "a.py:local_dim", "a.py:local_dim",
+        "b.py:LOCAL_DIM", "b.py:LOCAL_DIM", "b.py:LOCAL_DIM", "b.py:d",
+    ]
+
+
 def test_no_module_imports_a_name_it_never_uses():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in MODULES}
     assert {path: names for path, names in found.items() if names} == {}
@@ -202,3 +239,9 @@ def test_only_two_functions_in_src_read_trace_distance():
         "src/snakeweaver/merge.py:is_markov_via_recovery",
         "src/snakeweaver/operator_core.py:certified_trace_distance",
     ]
+
+
+def test_the_local_dimension_is_one_constant_of_operator_core():
+    # every site is a qubit; a parameter or field that could set another local dimension would reopen that choice
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert local_dimension_settings(defining, "src/snakeweaver/operator_core.py") == []
