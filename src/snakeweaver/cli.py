@@ -10,7 +10,13 @@ failure (such as an output path that cannot be written), 3 resource guard.
 A command that fails leaves no partial output file: every matrix file is
 written to a temporary sibling and renamed onto its path once complete, so a
 failed write leaves whatever stood at the path as it was.  ``generate``
-writes its marginal file one cluster at a time, as each is built.
+writes its marginal file one cluster at a time, as each is built.  An output
+path that names the input file or another output is refused before any file is
+created or changed.
+
+BLAS threads are capped by the BLAS library's own environment variables,
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, set
+before the command starts; no option of this module sets them.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_GUARD = 3
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _STATE_FILE = "uncompressed .npz container with members format_version, local_dim, region (n,2) and matrix"
 
@@ -71,33 +77,13 @@ def _cmis_in_unit(report: CheckReport, per_bit: float) -> CheckReport:
     return report
 
 
-def _parse_threads(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"thread count from --threads or SNAKEWEAVER_THREADS must be a positive integer, got {text!r}"
-        )
-    return int(text)
-
-
-def _add_run_options(parser: argparse.ArgumentParser, json_help: str) -> None:
-    """Options of every command."""
-    parser.add_argument("--json", action="store_true", help=json_help)
-    # argparse passes a string default through ``type`` too, so both sources get one check
-    parser.add_argument(
-        "--threads",
-        type=_parse_threads,
-        default=os.environ.get("SNAKEWEAVER_THREADS") or None,
-        help="BLAS thread cap, a positive integer (default: SNAKEWEAVER_THREADS)",
-    )
-
-
 def _add_report_options(parser: argparse.ArgumentParser) -> None:
     """Options of the commands that read a marginal file and report on it."""
     parser.add_argument("file")
     unit_help = "'2' (bits, default) or 'e' (nats): converts every reported entropy and CMI, and --tol-cmi"
     parser.add_argument("--log-base", type=_parse_log_base, default=2.0, help=unit_help)
     parser.add_argument("--report", metavar="PATH", help="also write the JSON report to this path")
-    _add_run_options(parser, "print the machine-readable report to stdout")
+    parser.add_argument("--json", action="store_true", help="print the machine-readable report to stdout")
 
 
 def _parse_tolerance(text: str) -> float:
@@ -120,29 +106,31 @@ def _add_tolerances(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, type=_parse_tolerance, default=1e-8, help=f"{what} (default 1e-8)")
 
 
-def _apply_threads(args) -> bool:
-    """Cap the BLAS threads at ``--threads`` through threadpoolctl; whether the cap took."""
-    if args.threads is None:
-        return False
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same resolved path, or one file under two names (a hard link)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
     try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=args.threads)
-    except Exception as exc:
-        print(f"warning: could not cap threads: {exc}", file=sys.stderr)
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
         return False
-    return True
 
 
 def _probe_outputs(args) -> None:
-    """Open every output path for appending and remove what that created, so an unwritable one fails before any work."""
-    for key in ("out", "global_out", "report", "state_out"):
-        path = getattr(args, key, None)
-        if path:
-            existed = os.path.lexists(path)
-            open(path, "ab").close()
-            if not existed:
-                os.remove(path)
+    """Refuse an output path that names the input file or an earlier output, then open every output path for
+    appending and remove what that created, so a clobbering or unwritable output fails before any work."""
+    outputs = [("--" + key.replace("_", "-"), getattr(args, key))
+               for key in ("out", "global_out", "report", "state_out") if getattr(args, key, None)]
+    named = ([("the input file", args.file)] if "file" in args else []) + outputs
+    for i, (flag, path) in enumerate(named):
+        for other, earlier in named[:i]:
+            if _same_file(earlier, path):
+                raise FileExistsError(f"{other} and {flag} both name {path}")
+    for _, path in outputs:
+        existed = os.path.lexists(path)
+        open(path, "ab").close()
+        if not existed:
+            os.remove(path)
 
 
 def _emit(args, payload: dict) -> None:
@@ -159,7 +147,6 @@ def _emit(args, payload: dict) -> None:
 def _report_payload(command: str, args, reports: dict, extra: dict | None = None) -> dict:
     config = {key: getattr(args, key) for key in ("tol_cmi", "tol_consistency") if key in args}
     config["log_base"] = "e" if args.log_base == math.e else args.log_base
-    config["threads"] = {"requested": args.threads, "applied": args.threads_applied}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -318,7 +305,8 @@ def cmd_generate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snakeweaver",
-        description="Check, reconstruct, and score 3x3-cluster marginal sets on 2D windows.",
+        description="Check, reconstruct, and score 3x3-cluster marginal sets on 2D windows. BLAS threads are "
+        "capped by OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS, set before the command starts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -394,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-3, help="depolarization strength in [0, 1] for kind=depolarized")
     p.add_argument("--anchor", type=int, nargs=2, default=None, help="anchor to depolarize")
     p.add_argument("--seed", type=int, default=0)
-    _add_run_options(p, "print a machine-readable report (schema_version, command, peak_rss_mb) instead of the banner")
+    p.add_argument("--json", action="store_true",
+                   help="print a machine-readable report (schema_version, command, peak_rss_mb) instead of the banner")
     p.set_defaults(func=cmd_generate)
 
     return parser
@@ -402,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.threads_applied = _apply_threads(args)
     try:
         _probe_outputs(args)
         return args.func(args)

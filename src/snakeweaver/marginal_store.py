@@ -50,7 +50,6 @@ from .operator_core import (
     StateError,
     certified_trace_distance,
     cmi,
-    entropy,
     partial_trace,
 )
 
@@ -415,16 +414,21 @@ class MarginalSet:
         cached = self._derived_cache.get(region)
         if cached is not None:
             return cached
-        parents = self.parents_of(region)
-        if not parents:
-            raise MissingMarginalError(f"region {region} is not contained in any inside 3x3 cluster")
-        out = self._derived_cache[region] = partial_trace(self.marginals[parents[0]], region)
+        out = self._derived_cache[region] = partial_trace(self._first_parent(region), region)
         return out
 
     def region_entropy(self, region) -> float:
-        """Entropy in bits of the derived marginal; its spectrum is computed once per region."""
+        """Entropy in bits of the derived marginal, read from the first parent's own region-entropy cache, which the
+        Markov checks fill too, so each (parent, region) spectrum is computed once."""
         region = as_region(region)
-        return entropy(self.derived_marginal(region)) if region else 0.0
+        return self._first_parent(region).region_entropy(region) if region else 0.0
+
+    def _first_parent(self, region: Region) -> DensityOperator:
+        """The stored marginal with the smallest anchor (y, then x) whose cluster contains ``region``."""
+        parents = self.parents_of(region)
+        if not parents:
+            raise MissingMarginalError(f"region {region} is not contained in any inside 3x3 cluster")
+        return self.marginals[parents[0]]
 
     # -- serialization -------------------------------------------------------
 

@@ -1,13 +1,17 @@
 """Every name a module in ``src/`` or ``tests/`` imports is referenced in that module, every module-level
 UPPER_CASE constant and every function, method and property in ``src/`` is read somewhere in ``src/``, ``tests/`` or
 ``perfbench/``, every exception class defined in ``src/`` is raised somewhere in ``src/``, only the two functions
-that need the exact value read ``trace_distance`` in ``src/``, and the local dimension is one constant of
-``operator_core`` that nothing in ``src/`` sets."""
+that need the exact value read ``trace_distance`` in ``src/``, the local dimension is one constant of
+``operator_core`` that nothing in ``src/`` sets, and the third-party modules ``src/`` imports are exactly the
+dependencies ``pyproject.toml`` declares."""
 
 import ast
 import builtins
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # a package's __init__ imports names to re-export them
@@ -148,6 +152,26 @@ def local_dimension_settings(defining: dict[str, str], home: str) -> list[str]:
     return sorted(found)
 
 
+def third_party_imports(sources: list[str], own: str) -> list[str]:
+    """The top-level modules that ``sources`` import, at module or function level, outside the standard library and
+    the package ``own``; a relative import is the package's own."""
+    found = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return sorted(found - set(sys.stdlib_module_names) - {own})
+
+
+def declared_modules(project: dict) -> list[str]:
+    """The module name of each requirement in the ``dependencies`` of a parsed ``[project]`` table: its distribution
+    name, lower-cased, with ``-`` as ``_``."""
+    return sorted(re.match(r"[A-Za-z0-9._-]+", req).group().lower().replace("-", "_")
+                  for req in project.get("dependencies", []))
+
+
 def test_the_scan_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nimport numpy as np\nfrom math import pi, tau\n"
     source += "np.sqrt(pi)\n"
@@ -205,6 +229,28 @@ def test_the_scan_finds_every_setting_of_the_local_dimension():
         "a.py:d", "a.py:d", "a.py:local_dim", "a.py:local_dim",
         "b.py:LOCAL_DIM", "b.py:LOCAL_DIM", "b.py:LOCAL_DIM", "b.py:d",
     ]
+
+
+def test_the_scan_compares_third_party_imports_with_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    sources = [
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\nfrom . import lattice\n"
+        "from .oracles import gen\nfrom pkg.cli import main\n",
+        "def f():\n    from scipy.linalg import expm\n    import json\n    return expm\n",
+    ]
+    assert third_party_imports(sources, "pkg") == ["numpy", "scipy"]
+    project = tomllib.loads('[project]\nname = "pkg"\ndependencies = ["numpy>=1.24", "SciPy >= 1.10", '
+                            '"leftover-pkg>=3.0", "typing-extensions; python_version < \'3.11\'"]\n')["project"]
+    # the lint asks for equality, so a declared dependency that nothing imports fails it, as an undeclared import does
+    assert declared_modules(project) == ["leftover_pkg", "numpy", "scipy", "typing_extensions"]
+    assert third_party_imports([*sources, "import leftover_pkg\n"], "pkg") == ["leftover_pkg", "numpy", "scipy"]
+
+
+def test_src_imports_exactly_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    sources = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
+    assert third_party_imports(sources, project["name"]) == declared_modules(project)
 
 
 def test_no_module_imports_a_name_it_never_uses():
