@@ -10,9 +10,14 @@ failure (such as an output path that cannot be written), 3 resource guard.
 A command that fails leaves no partial output file: every matrix file is
 written to a temporary sibling and renamed onto its path once complete, so a
 failed write leaves whatever stood at the path as it was.  ``generate``
-writes its marginal file one cluster at a time, as each is built.  An output
-path that names the input file or another output is refused before any file is
-created or changed.
+writes its marginal file one cluster at a time, as each is built.  ``check``
+and ``entropy`` read it one cluster at a time: the reader validates each
+cluster, the checks and the entropies take what they need from it, and it is
+released before the next is read.  The whole file is read, its CRC included,
+before any report is written, so a file refused at its last cluster leaves no
+report.  ``reconstruct`` loads the whole marginal set, which its merges read.
+An output path that names the input file or another output is refused before
+any file is created or changed.
 
 BLAS threads are capped by the BLAS library's own environment variables,
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, set
@@ -32,8 +37,12 @@ import sys
 from .lattice import GeometryError, cluster_region
 from .marginal_store import (
     CheckReport,
+    ConsistencyCheck,
     MarginalFileError,
+    MarginalReader,
     MarginalSet,
+    MarkovCheck,
+    RegionEntropies,
     Window,
     check_local_consistency,
     check_markov_conditions,
@@ -43,7 +52,7 @@ from .marginal_store import (
 )
 from .operator_core import DimensionGuardError, StateError, partial_trace
 from .oracles import depolarization_anchor, depolarize, gen_product, gen_row_markov, ghz_row_state
-from .reconstruct import max_entropy_formula, max_entropy_terms, reconstruct_global, row_major_med
+from .reconstruct import formula_regions, max_entropy_formula, max_entropy_terms, reconstruct_global, row_major_med
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -94,6 +103,17 @@ def _parse_tolerance(text: str) -> float:
         value = math.nan
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _parse_seed(text: str) -> int:
+    """A non-negative integer, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
     return value
 
 
@@ -159,10 +179,12 @@ def _report_payload(command: str, args, reports: dict, extra: dict | None = None
 
 
 def cmd_check(args) -> int:
-    ms = MarginalSet.load(args.file)
     per_bit = _per_bit(args)
-    consistency = check_local_consistency(ms, tol=args.tol_consistency, full_pairwise=args.full_pairwise)
-    markov = _cmis_in_unit(check_markov_conditions(ms, tol=args.tol_cmi / per_bit), per_bit)
+    with MarginalReader(args.file) as reader:
+        consistency = ConsistencyCheck(reader.window, args.tol_consistency, args.full_pairwise)
+        markov = MarkovCheck(reader.window, args.tol_cmi / per_bit)
+        reader.feed(consistency.add, markov.add)
+    consistency, markov = consistency.report(), _cmis_in_unit(markov.report(), per_bit)
     ok = consistency.passed and markov.passed
     payload = _report_payload("check", args, {"consistency": consistency, "markov": markov})
     _emit(args, payload)
@@ -228,16 +250,20 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    ms = MarginalSet.load(args.file)
-    consistency = check_local_consistency(ms, full_pairwise=True)
+    with MarginalReader(args.file) as reader:
+        window = reader.window
+        consistency = ConsistencyCheck(window, 1e-8, full_pairwise=True)
+        entropies = RegionEntropies(window, formula_regions(window))
+        reader.feed(consistency.add, entropies.add)
+    consistency = consistency.report()
     if not consistency.passed:
         rec = consistency.failures()[0]
         print(f"error: {rec.check_id} fails: trace distance {rec.residual:.3e} > {rec.tol:.0e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     per_bit = _per_bit(args)
-    terms = [(a, t * per_bit) for a, t in max_entropy_terms(ms)]
+    terms = [(a, t * per_bit) for a, t in max_entropy_terms(entropies, window)]
     formula = sum(t for _, t in terms)
-    med_value = row_major_med(ms, ms.window) * per_bit
+    med_value = row_major_med(entropies, window) * per_bit
     payload = _report_payload(
         "entropy",
         args,
@@ -259,8 +285,28 @@ def cmd_entropy(args) -> int:
     return EXIT_OK
 
 
+# The options of `generate` that only some kinds read: each one's default and the kinds that read it.
+_KIND_OPTIONS = {
+    "eps": (1e-3, ("depolarized",)),
+    "anchor": (None, ("depolarized",)),
+    "unitaries": ("haar", ("row-markov", "column-markov", "depolarized")),
+    "seed": (0, ("product", "row-markov", "column-markov", "depolarized")),
+}
+
+
+def _fill_kind_options(args) -> None:
+    """Give each option of ``_KIND_OPTIONS`` left out its default; one given to a kind that does not read it raises
+    ValueError."""
+    for name, (default, kinds) in _KIND_OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.kind not in kinds:
+            raise ValueError(f"--{name} is not read by --kind {args.kind}; only by {', '.join(kinds)}")
+
+
 def cmd_generate(args) -> int:
     try:
+        _fill_kind_options(args)
         window = Window(args.width, args.height)
         require_cluster(window)
         anchors = window.cluster_anchors()
@@ -378,10 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the global state (guarded; refused for kind=depolarized, whose marginals no state has) as an "
         + _STATE_FILE,
     )
-    p.add_argument("--unitaries", choices=["haar", "real", "none"], default="haar")
-    p.add_argument("--eps", type=float, default=1e-3, help="depolarization strength in [0, 1] for kind=depolarized")
-    p.add_argument("--anchor", type=int, nargs=2, default=None, help="anchor to depolarize")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--unitaries", choices=["haar", "real", "none"],
+                   help="local unitaries of the row-markov, column-markov and depolarized kinds (default haar)")
+    p.add_argument("--eps", type=float,
+                   help="depolarization strength in [0, 1] for kind=depolarized (default 1e-3)")
+    p.add_argument("--anchor", type=int, nargs=2,
+                   help="anchor to depolarize for kind=depolarized (default the first cluster's)")
+    p.add_argument("--seed", type=_parse_seed, help="random seed of every kind but ghz-row (default 0)")
     p.add_argument("--json", action="store_true",
                    help="print a machine-readable report (schema_version, command, peak_rss_mb) instead of the banner")
     p.set_defaults(func=cmd_generate)

@@ -15,8 +15,15 @@ refuse a member from its ``.npy`` header, before any of its data is read, when
 the header declares another dtype or shape; ``anchors`` must declare one row
 per cluster of the window.
 
-``matrices`` is written as a stream: each cluster's matrix goes to the file as
-it is produced, so a writer holds one cluster at a time.  Every file is
+``matrices`` is written and read as a stream.  A writer sends each cluster's
+matrix to the file as it is produced, and ``MarginalReader`` reads, validates
+and hands on one cluster at a time, in the file's anchor order, which need not
+be canonical; so each holds one cluster at a time.  ``MarginalSet.load`` is
+that reader collected into a set.  The checks take one cluster at a time too:
+``ConsistencyCheck`` and ``MarkovCheck`` are what ``check_local_consistency``
+and ``check_markov_conditions`` run over a set, and ``RegionEntropies`` keeps
+the entropies of regions listed beforehand from their first parents, so a
+command can check and evaluate a file in the reader's one pass.  Every file is
 written to a temporary sibling and renamed onto its path once complete, so a
 write that fails leaves no file, and whatever stood at the path stays as it
 was.
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import os
 import zipfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
@@ -107,6 +115,26 @@ class Window:
 
     def _anchor_ranges(self) -> tuple[range, range]:
         return range(2, self.width), range(self.height - 2)
+
+    def parents_of(self, region) -> list[Vertex]:
+        """Anchors, in canonical order, of the inside 3x3 clusters that contain the nonempty ``region``."""
+        region = as_region(region)
+        if not region:
+            raise MissingMarginalError("empty region has no parent cluster")
+        xs = [v[0] for v in region]
+        ys = [v[1] for v in region]
+        out = []
+        for ay in range(max(max(ys) - 2, 0), min(min(ys), self.height - 3) + 1):
+            for ax in range(max(max(xs), 2), min(min(xs) + 2, self.width - 1) + 1):
+                out.append((ax, ay))
+        return sorted(out, key=canonical_key)
+
+    def first_parent(self, region) -> Vertex:
+        """The smallest anchor (y, then x) of an inside 3x3 cluster that contains ``region``."""
+        parents = self.parents_of(region)
+        if not parents:
+            raise MissingMarginalError(f"region {as_region(region)} is not contained in any inside 3x3 cluster")
+        return parents[0]
 
 
 @dataclass(frozen=True)
@@ -283,53 +311,32 @@ def save_state(state: DensityOperator, path) -> None:
 
 
 _NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
+_READ_CHUNK = 1 << 18  # bytes per read into a cluster's array, so no whole-cluster copy is made beside it
 
 
-def _read_members(path, spec: dict, declared: Callable[[tuple], None] | None = None) -> dict:
-    """Each member ``name`` of ``spec``, a map to ``(dtype, shape)``, read from the container at ``path``.
-
-    A member is refused from its ``.npy`` header, before any of its data is read, when the header declares a dtype
-    outside ``dtype`` or another shape; None in ``shape`` matches any length.  ``declared``, when given, is called
-    with each member's declared shape after that check and before its data is read, and refuses it by raising
-    MarginalFileError.  A missing member, or any read failure, is a MarginalFileError.
-    """
-    out = {}
+@contextmanager
+def _read_errors(path):
+    """Raise every failure to read ``path`` as MarginalFileError; zipfile and numpy report a damaged container
+    through many unrelated exception types, some with multi-line messages."""
     try:
-        with open(path, "rb") as fh:
-            if fh.read(4) != b"PK\x03\x04":
-                raise ValueError(
-                    "not an .npz container; JSON marginal files of format 1 are no longer read, "
-                    "regenerate the file with `snakeweaver generate`"
-                )
-            fh.seek(0)
-            with np.load(fh, allow_pickle=False) as npz:
-                for name, (dtype, shape) in spec.items():
-                    if name not in npz.files:
-                        raise MarginalFileError(f"missing member {name!r}")
-                    with npz.zip.open(f"{name}.npy") as member:
-                        version = np.lib.format.read_magic(member)
-                        if version not in _NPY_HEADER_READERS:
-                            raise ValueError(f"member {name!r} has .npy format version {version}")
-                        got_shape, _, got_dtype = _NPY_HEADER_READERS[version](member)
-                    if (
-                        not np.issubdtype(got_dtype, dtype)
-                        or len(got_shape) != len(shape)
-                        or any(want not in (None, got) for want, got in zip(shape, got_shape))
-                    ):
-                        raise MarginalFileError(
-                            f"member {name!r} is {got_dtype} of shape {got_shape}, "
-                            f"expected {dtype.__name__} of shape {shape}"
-                        )
-                    if declared is not None:
-                        declared(got_shape)
-                    out[name] = npz[name]
+        yield
     except MarginalFileError:
         raise
-    # zipfile and numpy report a damaged container through many unrelated exception types,
-    # some with multi-line messages
     except Exception as exc:
         raise MarginalFileError(f"cannot read {path}: {' '.join(str(exc).split())}") from exc
-    return out
+
+
+def _read_into(member, out: np.ndarray) -> None:
+    """Fill the bytes of the contiguous ``out`` from ``member`` in chunks of ``_READ_CHUNK``; a member that ends
+    first is refused."""
+    flat = out.reshape(-1).view(np.uint8)
+    done = 0
+    while done < flat.size:
+        chunk = member.read(min(_READ_CHUNK, flat.size - done))
+        if not chunk:
+            raise MarginalFileError(f"member data ends {flat.size - done} bytes early")
+        flat[done:done + len(chunk)] = np.frombuffer(chunk, np.uint8)
+        done += len(chunk)
 
 
 def require_cluster(window: Window) -> int:
@@ -350,22 +357,166 @@ def _require_marginal_count(window: Window, count: int) -> None:
         )
 
 
+def _require_window_anchors(window: Window, anchors: list[Vertex]) -> None:
+    """Refuse ``anchors`` unless they are the window's cluster anchors, each once, in any order."""
+    _require_marginal_count(window, len(anchors))
+    got = set()
+    for a in anchors:
+        if a in got:
+            raise MarginalFileError(f"duplicate marginal anchor {a}")
+        got.add(a)
+    expected = set(window.cluster_anchors())
+    if got != expected:
+        missing = sorted(expected - got, key=canonical_key)
+        extra = sorted(got - expected, key=canonical_key)
+        raise MarginalFileError(
+            f"marginal anchors do not match the window: {len(missing)} missing, first {missing[:3]}; "
+            f"{len(extra)} unexpected, first {extra[:3]}"
+        )
+
+
+def _cluster_state(anchor: Vertex, mat: np.ndarray) -> DensityOperator:
+    """The marginal at ``anchor`` from its matrix as read, validated; an invalid one raises MarginalFileError."""
+    if not np.isfinite(mat).all():
+        raise MarginalFileError(f"marginal at {anchor} has a non-finite entry")
+    try:
+        op = DensityOperator(cluster_region(anchor, 3, 3), mat)
+        # Reductions are not symmetrized and sum up to 2^9 entries of the anti-Hermitian part, so a marginal that
+        # could carry it past HERMITICITY_TOL is stored Hermitized; any other keeps its exact bytes from the file.
+        # The deviation is the one the operator measured when it was made.
+        if op.hermiticity_deviation * op.dim > HERMITICITY_TOL:
+            op = DensityOperator(op.region, 0.5 * (mat + mat.conj().T))
+        op.validate_spectrum()
+    except StateError as exc:
+        raise MarginalFileError(f"marginal at {anchor} is not a valid state: {exc}") from exc
+    return op
+
+
+class MarginalReader:
+    """One pass over a marginal file, holding one cluster at a time; every failure raises MarginalFileError.
+
+    Opening it reads and checks the scalar members, then ``anchors``, into ``window`` and ``anchors`` (in file
+    order, which need not be canonical): ``local_dim`` and the window pass before ``anchors`` is opened, and
+    ``anchors`` must be the window's cluster anchors, each once.  ``feed`` then reads ``matrices`` cluster by
+    cluster.  Each array member is refused from its header, so a crafted file is refused before any array it
+    declares is allocated.  Use it as a context manager, which closes the file.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with _read_errors(path):
+            self._file = open(path, "rb")
+        try:
+            with _read_errors(path):
+                if self._file.read(4) != b"PK\x03\x04":
+                    raise ValueError(
+                        "not an .npz container; JSON marginal files of format 1 are no longer read, "
+                        "regenerate the file with `snakeweaver generate`"
+                    )
+                self._zip = zipfile.ZipFile(self._file)
+                self.window = self._read_header_members()
+                anchors = self._read_small("anchors", np.integer, (None, 2),
+                                           lambda shape: _require_marginal_count(self.window, shape[0]))
+            self.anchors: tuple[Vertex, ...] = tuple(map(tuple, anchors.tolist()))
+            _require_window_anchors(self.window, list(self.anchors))
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __enter__(self) -> "MarginalReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._zip.close()
+        self._file.close()
+
+    def _open(self, name: str, dtype, shape: tuple, declared: Callable[[tuple], None] | None = None):
+        """Member ``name`` opened past its ``.npy`` header, with its declared shape, order and dtype.
+
+        It is refused from the header, before any of its data is read, when the header declares a dtype outside
+        ``dtype`` or another shape; None in ``shape`` matches any length.  ``declared``, when given, is called with
+        the declared shape after that check, and refuses it by raising MarginalFileError.
+        """
+        if f"{name}.npy" not in self._zip.namelist():
+            raise MarginalFileError(f"missing member {name!r}")
+        member = self._zip.open(f"{name}.npy")
+        version = np.lib.format.read_magic(member)
+        if version not in _NPY_HEADER_READERS:
+            raise ValueError(f"member {name!r} has .npy format version {version}")
+        got_shape, fortran_order, got_dtype = _NPY_HEADER_READERS[version](member)
+        if (
+            not np.issubdtype(got_dtype, dtype)
+            or len(got_shape) != len(shape)
+            or any(want not in (None, got) for want, got in zip(shape, got_shape))
+        ):
+            raise MarginalFileError(
+                f"member {name!r} is {got_dtype} of shape {got_shape}, expected {dtype.__name__} of shape {shape}"
+            )
+        if declared is not None:
+            declared(got_shape)
+        return member, got_shape, fortran_order, got_dtype
+
+    def _read_small(self, name: str, dtype, shape: tuple, declared=None) -> np.ndarray:
+        """Member ``name``, header-checked as ``_open`` does, read whole."""
+        member, got_shape, fortran_order, got_dtype = self._open(name, dtype, shape, declared)
+        out = np.empty(got_shape, dtype=got_dtype, order="F" if fortran_order else "C")
+        with member:
+            _read_into(member, out.T if fortran_order else out)
+        return out
+
+    def _read_header_members(self) -> Window:
+        """The window of the file, once ``format_version``, ``window`` and ``local_dim`` pass."""
+        version = int(self._read_small("format_version", np.integer, ()))
+        if version != FORMAT_VERSION:
+            raise MarginalFileError(f"unknown format_version {version}")
+        window = self._read_small("window", np.integer, (2,))
+        local_dim = int(self._read_small("local_dim", np.integer, ()))
+        if local_dim != LOCAL_DIM:
+            raise MarginalFileError(
+                f"local_dim is {local_dim}, but only qubits (2) are supported: a 3x3 cluster of d >= 3 levels has "
+                f"d^9 >= 19683 dims, past the dense guard of {DENSE_DIM_GUARD}"
+            )
+        width, height = window.tolist()
+        try:
+            return Window(width, height)
+        except GeometryError as exc:
+            raise MarginalFileError(f"malformed marginal file: {exc}") from exc
+
+    def feed(self, *consumers: Callable[[Vertex, DensityOperator], None]) -> None:
+        """Read ``matrices`` one cluster at a time, in file order, and pass each cluster's validated marginal to
+        every consumer as ``consumer(anchor, marginal)`` before the next cluster is read.
+
+        A marginal is validated as it is read: finite, Hermitian, of trace one and no eigenvalue below
+        -SPECTRUM_TOL.  The member is read to its end, so its CRC is verified before ``feed`` returns.  When it
+        raises, the consumers have taken clusters of a refused file, and nothing they took may be reported.
+        """
+        dim = LOCAL_DIM ** 9
+        with _read_errors(self.path):
+            member, _, fortran_order, dtype = self._open("matrices", np.complex128, (len(self.anchors), dim, dim))
+            if fortran_order:
+                raise MarginalFileError("member 'matrices' is stored in Fortran order, which cannot be read by cluster")
+        with member:
+            for anchor in self.anchors:
+                mat = np.empty((dim, dim), dtype=dtype)
+                with _read_errors(self.path):
+                    _read_into(member, mat)
+                op = _cluster_state(anchor, mat)
+                del mat
+                for consume in consumers:
+                    consume(anchor, op)
+                del op  # so that the next cluster is read with this one released
+            with _read_errors(self.path):
+                if member.read(1):
+                    raise MarginalFileError("member 'matrices' holds more data than its header declares")
+
+
 class MarginalSet:
     """The fundamental marginals of a window: one density operator per inside 3x3 cluster."""
 
     def __init__(self, window: Window, marginals: dict):
         self.window = window
         self.marginals: dict[Vertex, DensityOperator] = {}
-        _require_marginal_count(window, len(marginals))
-        expected = set(window.cluster_anchors())
-        got = {as_vertex(a) for a in marginals}
-        if got != expected:
-            missing = sorted(expected - got, key=canonical_key)
-            extra = sorted(got - expected, key=canonical_key)
-            raise MarginalFileError(
-                f"marginal anchors do not match the window: {len(missing)} missing, first {missing[:3]}; "
-                f"{len(extra)} unexpected, first {extra[:3]}"
-            )
+        _require_window_anchors(window, [as_vertex(a) for a in marginals])
         for a, op in marginals.items():
             a = as_vertex(a)
             want = cluster_region(a, 3, 3)
@@ -391,18 +542,6 @@ class MarginalSet:
 
     # -- derived marginals ---------------------------------------------------
 
-    def parents_of(self, region) -> list[Vertex]:
-        region = as_region(region)
-        if not region:
-            raise MissingMarginalError("empty region has no parent cluster")
-        xs = [v[0] for v in region]
-        ys = [v[1] for v in region]
-        out = []
-        for ay in range(max(max(ys) - 2, 0), min(min(ys), self.window.height - 3) + 1):
-            for ax in range(max(max(xs), 2), min(min(xs) + 2, self.window.width - 1) + 1):
-                out.append((ax, ay))
-        return sorted(out, key=canonical_key)
-
     def derived_marginal(self, region) -> DensityOperator:
         """Reduction of the stored marginal with the smallest parent anchor (y, then x), cached per region.
 
@@ -425,10 +564,7 @@ class MarginalSet:
 
     def _first_parent(self, region: Region) -> DensityOperator:
         """The stored marginal with the smallest anchor (y, then x) whose cluster contains ``region``."""
-        parents = self.parents_of(region)
-        if not parents:
-            raise MissingMarginalError(f"region {region} is not contained in any inside 3x3 cluster")
-        return self.marginals[parents[0]]
+        return self.marginals[self.window.first_parent(region)]
 
     # -- serialization -------------------------------------------------------
 
@@ -437,77 +573,118 @@ class MarginalSet:
 
     @classmethod
     def load(cls, path) -> "MarginalSet":
-        """Read and validate a marginal file; every failure raises MarginalFileError.
-
-        ``anchors`` is opened only once ``local_dim`` and the window pass, and each array member is refused from its
-        header, so a crafted file is refused before any array it declares is allocated.
-        """
-        members = _read_members(path, {
-            "format_version": (np.integer, ()),
-            "window": (np.integer, (2,)),
-            "local_dim": (np.integer, ()),
-        })
-        version = int(members["format_version"])
-        if version != FORMAT_VERSION:
-            raise MarginalFileError(f"unknown format_version {version}")
-        local_dim = int(members["local_dim"])
-        if local_dim != LOCAL_DIM:
-            raise MarginalFileError(
-                f"local_dim is {local_dim}, but only qubits (2) are supported: a 3x3 cluster of d >= 3 levels has "
-                f"d^9 >= 19683 dims, past the dense guard of {DENSE_DIM_GUARD}"
-            )
-        width, height = members["window"].tolist()
-        try:
-            window = Window(width, height)
-        except GeometryError as exc:
-            raise MarginalFileError(f"malformed marginal file: {exc}") from exc
-        anchors = _read_members(
-            path, {"anchors": (np.integer, (None, 2))}, lambda shape: _require_marginal_count(window, shape[0])
-        )["anchors"].tolist()
-        dim = LOCAL_DIM ** 9
-        matrices = _read_members(path, {"matrices": (np.complex128, (len(anchors), dim, dim))})["matrices"]
-        if not np.isfinite(matrices).all():
-            raise MarginalFileError("a marginal matrix has a non-finite entry")
-        margs = {}
-        for anchor, mat in zip(map(tuple, anchors), matrices):
-            if anchor in margs:
-                raise MarginalFileError(f"duplicate marginal anchor {anchor}")
-            try:
-                op = DensityOperator(cluster_region(anchor, 3, 3), mat)
-                # Reductions are not symmetrized and sum up to 2^9 entries of the anti-Hermitian part, so a
-                # marginal that could carry it past HERMITICITY_TOL is stored Hermitized; any other keeps its
-                # exact bytes from the file.  The deviation is the one the operator measured when it was made.
-                if op.hermiticity_deviation * op.dim > HERMITICITY_TOL:
-                    op = DensityOperator(op.region, 0.5 * (mat + mat.conj().T))
-                op.validate_spectrum()
-            except StateError as exc:
-                raise MarginalFileError(f"marginal at {anchor} is not a valid state: {exc}") from exc
-            margs[anchor] = op
-        return cls(window, margs)
+        """Read and validate a marginal file through ``MarginalReader``, keeping every cluster; every failure raises
+        MarginalFileError."""
+        marginals = {}
+        with MarginalReader(path) as reader:
+            reader.feed(marginals.__setitem__)
+        return cls(reader.window, marginals)
 
 
-def check_markov_conditions(ms: MarginalSet, tol: float = 1e-8) -> CheckReport:
-    """Evaluate all eight conditions on every inside cluster; residuals are CMI values in bits."""
-    report = CheckReport()
+class RegionEntropies:
+    """Entropies in bits of given nonempty regions of a window, each taken from its first parent cluster as that
+    cluster is added, in any order of anchors; ``region_entropy`` then answers for them as
+    ``MarginalSet.region_entropy`` does, bit for bit, with no marginal held."""
+
+    def __init__(self, window: Window, regions: Iterable):
+        self._wanted: dict[Vertex, list[Region]] = {}
+        for region in set(map(as_region, regions)):
+            self._wanted.setdefault(window.first_parent(region), []).append(region)
+        self._values: dict[Region, float] = {}
+
+    def add(self, anchor: Vertex, op: DensityOperator) -> None:
+        for region in self._wanted.pop(anchor, ()):
+            self._values[region] = op.region_entropy(region)
+
+    def region_entropy(self, region) -> float:
+        return self._values[as_region(region)]
+
+
+def _run_on_set(check, ms: MarginalSet) -> CheckReport:
+    """Add every cluster of ``ms`` to ``check`` in canonical order, then return its report."""
     for anchor in ms.anchors():
-        for cond in c_m_conditions(anchor, ms.window):
-            report.add(
+        check.add(anchor, ms.marginals[anchor])
+    return check.report()
+
+
+class MarkovCheck:
+    """The eight Markov conditions of each cluster, recorded as the cluster is added, in any order of anchors;
+    residuals are CMI values in bits."""
+
+    def __init__(self, window: Window, tol: float):
+        self.window, self.tol = window, tol
+        self._report = CheckReport()
+
+    def add(self, anchor: Vertex, op: DensityOperator) -> None:
+        for cond in c_m_conditions(anchor, self.window):
+            self._report.add(
                 f"cmi:{anchor[0]},{anchor[1]}:{cond.index}",
                 "cmi",
-                cmi(ms.marginals[anchor], cond.A, cond.B, cond.C),
-                tol,
+                cmi(op, cond.A, cond.B, cond.C),
+                self.tol,
                 anchor=list(anchor),
                 condition=cond.index,
                 A=_region_json(cond.A),
                 B=_region_json(cond.B),
                 C=_region_json(cond.C),
             )
-    return report
+
+    def report(self) -> CheckReport:
+        """The records in canonical order of their anchors, then of their conditions."""
+        self._report.records.sort(key=lambda r: (canonical_key(r.detail["anchor"]), r.detail["condition"]))
+        return self._report
+
+
+def check_markov_conditions(ms: MarginalSet, tol: float = 1e-8) -> CheckReport:
+    """Evaluate all eight conditions on every inside cluster; residuals are CMI values in bits."""
+    return _run_on_set(MarkovCheck(ms.window, tol), ms)
 
 
 # The shifts (dx, dy) from one anchor to each later one, in canonical order, whose 3x3 clusters overlap: any two
 # clusters less than 3 apart in both directions share a site.
 _OVERLAP_SHIFTS = tuple((dx, dy) for dy in range(3) for dx in range(-2, 3) if (dy, dx) > (0, 0))
+
+
+class ConsistencyCheck:
+    """The overlap records of ``check_local_consistency``, taken as clusters are added, in any order of anchors.
+
+    The first cluster of a pair to come leaves its overlap reduction, and the second records the pair and drops
+    it, so only the reductions of pairs whose partner is still to come are held: in canonical order, those of
+    about one row of anchors, each of at most 6 sites.
+    """
+
+    def __init__(self, window: Window, tol: float, full_pairwise: bool = False):
+        self.tol = tol
+        self._shifts = _OVERLAP_SHIFTS if full_pairwise else ((1, 0), (0, 1))
+        self._anchors = set(window.cluster_anchors())
+        self._pending: dict[tuple[Vertex, Vertex], DensityOperator] = {}
+        self._report = CheckReport()
+
+    def add(self, anchor: Vertex, op: DensityOperator) -> None:
+        x, y = anchor
+        for dx, dy in self._shifts:
+            for a, b in ((anchor, (x + dx, y + dy)), ((x - dx, y - dy), anchor)):
+                if not {a, b} <= self._anchors:
+                    continue
+                overlap = region_intersection(cluster_region(a, 3, 3), cluster_region(b, 3, 3))
+                reduction = partial_trace(op, overlap)
+                other = self._pending.pop((a, b), None)
+                if other is None:
+                    self._pending[a, b] = reduction
+                    continue
+                self._report.add_distance(
+                    f"consistency:{a[0]},{a[1]}|{b[0]},{b[1]}",
+                    "consistency",
+                    *((reduction, other) if anchor == a else (other, reduction)),
+                    self.tol,
+                    anchors=[list(a), list(b)],
+                    overlap=_region_json(overlap),
+                )
+
+    def report(self) -> CheckReport:
+        """The records in canonical order of their first anchor, then of their second."""
+        self._report.records.sort(key=lambda r: [canonical_key(v) for v in r.detail["anchors"]])
+        return self._report
 
 
 def check_local_consistency(
@@ -531,20 +708,4 @@ def check_local_consistency(
     certifies every derived marginal to ``tol`` too.  Pairs come in canonical
     order of their first anchor, then of their second.
     """
-    report = CheckReport()
-    for a in ms.anchors():
-        for dx, dy in _OVERLAP_SHIFTS if full_pairwise else ((1, 0), (0, 1)):
-            b = (a[0] + dx, a[1] + dy)
-            if b not in ms.marginals:
-                continue
-            overlap = region_intersection(cluster_region(a, 3, 3), cluster_region(b, 3, 3))
-            report.add_distance(
-                f"consistency:{a[0]},{a[1]}|{b[0]},{b[1]}",
-                "consistency",
-                partial_trace(ms.marginals[a], overlap),
-                partial_trace(ms.marginals[b], overlap),
-                tol,
-                anchors=[list(a), list(b)],
-                overlap=_region_json(overlap),
-            )
-    return report
+    return _run_on_set(ConsistencyCheck(ms.window, tol, full_pairwise), ms)

@@ -215,6 +215,26 @@ def row_major_med(provider, window: Window):
     return med(provider, site_path(window.sites()))
 
 
+class _RegionLog:
+    """An entropy provider that answers 0 and keeps every region it is asked for."""
+
+    def __init__(self):
+        self.regions: list[Region] = []
+
+    def region_entropy(self, region) -> float:
+        self.regions.append(as_region(region))
+        return 0.0
+
+
+def formula_regions(window: Window) -> list[Region]:
+    """The regions whose entropies ``max_entropy_terms`` and ``row_major_med`` read on ``window``, from a run of both
+    on a provider that keeps them: they depend only on the window, so they are known before any marginal is read."""
+    log = _RegionLog()
+    max_entropy_terms(log, window)
+    row_major_med(log, window)
+    return log.regions
+
+
 def uniqueness_certificate(
     rho: DensityOperator,
     sigma: DensityOperator,

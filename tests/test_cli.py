@@ -3,17 +3,19 @@
 import json
 import math
 import resource
+import struct
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
 from snakeweaver import cli
 from snakeweaver.cli import main
-from snakeweaver.marginal_store import MarginalSet, Window
+from snakeweaver.marginal_store import MarginalSet, Window, check_local_consistency, check_markov_conditions
 from snakeweaver.operator_core import DensityOperator, StateError
 from snakeweaver.oracles import RowMarkovSource, depolarize_marginal, gen_product, gen_row_markov, ghz_row_source
-from snakeweaver.reconstruct import reconstruct_global
+from snakeweaver.reconstruct import max_entropy_terms, reconstruct_global, row_major_med
 
 
 def run(*argv):
@@ -193,8 +195,10 @@ def test_depolarized_global_out_is_refused_before_any_file_is_written(tmp_path, 
 def test_generate_writes_the_bytes_of_the_saved_marginal_set(kind, unitaries, tmp_path):
     window, seed = Window(4, 3), 6
     streamed, saved = tmp_path / "streamed.npz", tmp_path / "saved.npz"
-    assert run("generate", "--kind", kind, "--unitaries", unitaries, "--width", "4", "--height", "3",
-               "--seed", str(seed), "--eps", "0.25", "--out", str(streamed)) == 0
+    options = {"--unitaries": unitaries, "--seed": str(seed), "--eps": "0.25"}
+    read = {"product": ["--seed"], "ghz-row": [], "depolarized": list(options)}.get(kind, ["--unitaries", "--seed"])
+    assert run("generate", "--kind", kind, *(arg for flag in read for arg in (flag, options[flag])),
+               "--width", "4", "--height", "3", "--out", str(streamed)) == 0
     if kind == "ghz-row":
         ms, _ = ghz_row_source(window)
     elif kind == "product":
@@ -221,6 +225,106 @@ def test_generate_holds_one_cluster_at_a_time(width, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * cluster_bytes
+
+
+@pytest.mark.parametrize("command", ["check", "entropy"])
+@pytest.mark.parametrize("width", [4, 8])
+def test_check_and_entropy_hold_one_cluster_at_a_time(command, width, tmp_path):
+    # the reader validates one cluster, hands it to the checks and releases it before it reads the next, so the peak
+    # stays near one cluster and its validation's temporaries however many clusters the window has (1.2-1.5 of them
+    # on these windows); a cluster kept while the next is read would take it past 2
+    cluster_bytes = 512 * 512 * 16
+    path = tmp_path / "m.npz"
+    assert run("generate", "--kind", "row-markov", "--width", str(width), "--height", "4", "--seed", "1",
+               "--out", str(path)) == 0
+    tracemalloc.start()
+    try:
+        assert run(command, str(path)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cluster_bytes
+
+
+@pytest.fixture(scope="module")
+def row44_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "row44.npz"
+    gen_row_markov(Window(4, 4), seed=1).marginal_set().save(path)
+    return path
+
+
+def _flip_a_low_bit_of_the_last_cluster(members, path):
+    # the last byte of the file's last cluster is the low byte of the imaginary part of its last diagonal entry, so
+    # the flip moves that entry by one unit in its last place and leaves a valid state that only the CRC refuses
+    np.savez(path, **members)
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("matrices.npy")
+    name_len, extra_len = struct.unpack("<HH", data[info.header_offset + 26:info.header_offset + 30])
+    end = info.header_offset + 30 + name_len + extra_len + info.file_size
+    data[end - 8] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _non_psd(m):
+    m[-1] = np.diag([1.1, -0.1] + [0.0] * 510)
+
+
+def _non_finite(m):
+    m[-1, 3, 3] = np.nan
+
+
+def _non_hermitian(m):
+    m[-1, 0, 1] += 1e-3
+
+
+@pytest.mark.parametrize("damage", [_non_psd, _non_finite, _non_hermitian, None])
+@pytest.mark.parametrize("command", ["check", "entropy"])
+def test_a_damaged_last_cluster_is_refused_after_the_others_were_checked(damage, command, row44_file, tmp_path,
+                                                                        capsys):
+    members = _members(row44_file)
+    path, report = tmp_path / "bad.npz", tmp_path / "report.json"
+    if damage is None:
+        _flip_a_low_bit_of_the_last_cluster(members, path)
+    else:
+        damage(members["matrices"])
+        np.savez(path, **members)
+    assert run(command, str(path), "--json", "--report", str(report)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert ("marginal at (3, 1)" if damage else "Bad CRC-32") in captured.err
+    assert captured.out == "" and not report.exists()
+
+
+@pytest.mark.parametrize("width,height", [(4, 4), (5, 4)])
+def test_reports_do_not_depend_on_the_anchor_order_and_equal_the_marginal_set_checks(width, height, tmp_path,
+                                                                                    capsys):
+    window = Window(width, height)
+    ms = gen_row_markov(window, seed=3).marginal_set()
+    canonical, reversed_ = tmp_path / "canonical.npz", tmp_path / "reversed.npz"
+    ms.save(canonical)
+    anchors = ms.anchors()[::-1]
+    np.savez(reversed_, format_version=2, window=np.array([width, height]), local_dim=2, anchors=np.array(anchors),
+             matrices=np.stack([ms.marginals[a].matrix for a in anchors]))
+    assert list(MarginalSet.load(reversed_).marginals) == list(anchors)
+    for command in ("check", "entropy"):
+        outputs = []
+        for path in (canonical, reversed_):
+            assert run(command, str(path), "--json") == 0
+            outputs.append(capsys.readouterr().out)
+        prefixes = [out.split('"peak_rss_mb"')[0] for out in outputs]
+        assert prefixes[0] == prefixes[1]  # byte for byte up to the last key, peak_rss_mb
+        payload = json.loads(outputs[0])
+        checks = payload["checks"]
+        if command == "check":
+            assert checks["consistency"] == check_local_consistency(ms).to_dict()
+            assert checks["markov"] == check_markov_conditions(ms).to_dict()
+        else:
+            assert checks["consistency"] == check_local_consistency(ms, full_pairwise=True).to_dict()
+            terms = max_entropy_terms(ms)
+            assert payload["terms"] == [{"anchor": list(a), "term": float(t)} for a, t in terms]
+            assert payload["max_entropy_formula"] == float(sum(t for _, t in terms))
+            assert payload["row_path_med"] == float(row_major_med(ms, window))
 
 
 def test_a_failed_generate_leaves_no_file_and_keeps_the_old_one(tmp_path, monkeypatch, capsys):
@@ -398,6 +502,37 @@ def test_generate_rejects_bad_params(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "kind,option",
+    [
+        ("row-markov", ("--eps", "0.5")),
+        ("row-markov", ("--anchor", "2", "0")),
+        ("column-markov", ("--anchor", "2", "0")),
+        ("product", ("--eps", "0.5")),
+        ("product", ("--unitaries", "none")),
+        ("ghz-row", ("--unitaries", "haar")),
+        ("ghz-row", ("--seed", "1")),
+    ],
+)
+def test_generate_refuses_an_option_its_kind_does_not_read(kind, option, tmp_path, capsys):
+    out = tmp_path / "x.npz"
+    assert run("generate", "--kind", kind, "--width", "3", "--height", "3", *option, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and option[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "one"])
+def test_a_seed_that_is_not_a_non_negative_integer_exits_2_naming_the_flag(seed, tmp_path, capsys):
+    out = tmp_path / "x.npz"
+    with pytest.raises(SystemExit) as exc:
+        run("generate", "--kind", "row-markov", "--width", "3", "--height", "3", "--seed", seed, "--out", str(out))
+    assert exc.value.code == 2
+    [line] = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert "--seed" in line and repr(seed) in line and "integer >= 0" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("--width", "4", "--height", "3", "--anchor", "0", "0"),  # a site, not a cluster anchor
@@ -480,7 +615,7 @@ def test_an_unwritable_output_path_exits_2_with_one_error_line(flag, row_file, t
         "--state-out": ("reconstruct", str(row_file), "--state-out", path),
     }[flag]
     ran = []
-    for name in ("check_markov_conditions", "max_entropy_terms"):
+    for name in ("MarginalReader", "check_markov_conditions", "max_entropy_terms"):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name, **k: ran.append(_name) or _real(*a, **k))
     assert run(*argv) == 2

@@ -97,7 +97,7 @@ def test_markov_checks_take_one_spectrum_per_distinct_region_per_cluster(monkeyp
     spectra.clear()
     max_entropy_terms(ms)
     taken = {(a, r) for a, rs in regions.items() for r in rs}
-    wanted = {(ms.parents_of(r)[0], r) for r in asked}
+    wanted = {(ms.window.parents_of(r)[0], r) for r in asked}
     assert wanted & taken  # the formula shares regions with the checks
     assert len(spectra) == len(wanted - taken)
 
@@ -204,7 +204,7 @@ def test_full_pairwise_residuals_bound_every_parent_disagreement(make):
     row_major_med(reader, ms.window)
     worst = 0.0
     for region in reader.regions:
-        parents = ms.parents_of(region)
+        parents = ms.window.parents_of(region)
         for a, b in combinations(parents, 2):
             dist = trace_distance(partial_trace(ms.marginals[a], region), partial_trace(ms.marginals[b], region))
             assert dist <= residual[(a, b)] + 1e-15  # rounding, where both distances vanish in exact arithmetic
@@ -221,7 +221,7 @@ def test_derived_marginal_full_cluster_and_parent_choice():
     assert trace_distance(got, ms.marginals[anchor]) < 1e-12
     # 2x2 cluster anchored at (1, 1): canonical parent is the (2, 0) cluster
     region = cluster_region((1, 1), 2, 2)
-    assert ms.parents_of(region)[0] == (2, 0)
+    assert ms.window.parents_of(region)[0] == (2, 0)
     expect = partial_trace(ms.marginals[(2, 0)], region)
     assert trace_distance(ms.derived_marginal(region), expect) < 1e-12
 
@@ -229,7 +229,7 @@ def test_derived_marginal_full_cluster_and_parent_choice():
 def test_derived_marginal_shared_site_agrees_across_parents():
     ms = gen_row_markov(Window(4, 4), seed=6).marginal_set()
     region = ((2, 1),)
-    parents = ms.parents_of(region)
+    parents = ms.window.parents_of(region)
     assert len(parents) == 4
     canonical = ms.derived_marginal(region)  # read from the first parent alone
     for p in parents:
@@ -300,6 +300,7 @@ def test_file_parser_rejections(tmp_path):
     reject(lambda d: d.__setitem__("local_dim", np.int64(3)))
     reject(lambda d: d.__setitem__("window", np.array([3, 3, 3])))
     reject(lambda d: d.__setitem__("matrices", d["matrices"].astype(np.complex64)))
+    reject(lambda d: d.__setitem__("matrices", np.asfortranarray(d["matrices"])))  # not readable cluster by cluster
 
     def unnormalize(d):
         d["matrices"][0, 0, 0] = 5.0
