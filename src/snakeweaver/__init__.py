@@ -35,8 +35,8 @@ from .operator_core import (
 )
 from .merge import (
     EmptyOverlapError,
-    MarkovCheck,
     MergePreconditionError,
+    RecoveryCheck,
     SupportMismatchError,
     is_markov_via_recovery,
     merging_lemma_combine,

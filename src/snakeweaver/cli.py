@@ -10,12 +10,16 @@ failure (such as an output path that cannot be written), 3 resource guard.
 A command that fails leaves no partial output file: every matrix file is
 written to a temporary sibling and renamed onto its path once complete, so a
 failed write leaves whatever stood at the path as it was.  ``generate``
-writes its marginal file one cluster at a time, as each is built.  ``check``
-and ``entropy`` read it one cluster at a time: the reader validates each
-cluster, the checks and the entropies take what they need from it, and it is
-released before the next is read.  The whole file is read, its CRC included,
-before any report is written, so a file refused at its last cluster leaves no
-report.  ``reconstruct`` loads the whole marginal set, which its merges read.
+writes its marginal file one cluster at a time, as each is built.  The other
+commands read it in one ``MarginalReader`` pass: the reader validates each
+cluster and the checks and entropies take what they need from it; ``check``
+and ``entropy`` release it before the next is read, and ``reconstruct``
+keeps it for its merges.  The whole file is read, its CRC included, before
+any report is written, so a file refused at its last cluster leaves no
+report; input refused by the checks still gets its ``checks`` report, with
+no entropy, before exit 1.  ``reconstruct`` refuses a window whose dense
+state is past the guard from the file's header, before any cluster is read,
+so it exits 3 even where the checks would fail; ``entropy`` takes any window.
 An output path that names the input file or another output is refused before
 any file is created or changed.
 
@@ -44,8 +48,6 @@ from .marginal_store import (
     MarkovCheck,
     RegionEntropies,
     Window,
-    check_local_consistency,
-    check_markov_conditions,
     require_cluster,
     save_marginals,
     save_state,
@@ -205,48 +207,47 @@ def cmd_check(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    ms = MarginalSet.load(args.file)
     per_bit = _per_bit(args)
-    consistency = check_local_consistency(ms, tol=args.tol_consistency, full_pairwise=True)
-    markov = _cmis_in_unit(check_markov_conditions(ms, tol=args.tol_cmi / per_bit), per_bit)
-    if not (consistency.passed and markov.passed) and not args.force:
-        print(
-            "error: marginals fail their checks; rerun with --force to reconstruct anyway",
-            file=sys.stderr,
-        )
+    with MarginalReader(args.file) as reader:
+        try:
+            reader.window.check_dense_guard()
+        except DimensionGuardError as exc:
+            print(f"error: {exc} (`snakeweaver entropy` gives the formula of a big window)", file=sys.stderr)
+            return EXIT_GUARD
+        consistency = ConsistencyCheck(reader.window, args.tol_consistency, full_pairwise=True)
+        markov = MarkovCheck(reader.window, args.tol_cmi / per_bit)
+        marginals = {}
+        reader.feed(consistency.add, markov.add, marginals.__setitem__)
+    ms = MarginalSet(reader.window, marginals)
+    reports = {"consistency": consistency.report(), "markov": _cmis_in_unit(markov.report(), per_bit)}
+    if not all(rep.passed for rep in reports.values()) and not args.force:
+        _emit(args, _report_payload("reconstruct", args, reports))
+        print("error: marginals fail their checks; rerun with --force to reconstruct anyway", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
     formula = float(max_entropy_formula(ms)) * per_bit
-    extra = {"max_entropy_formula": formula}
-    reports = {"consistency": consistency, "markov": markov}
-    if not args.formula_only:
-        try:
-            result = reconstruct_global(ms, tol=args.tol_reconstruction)
-        except DimensionGuardError as exc:
-            print(f"error: {exc} (use --formula-only for big windows)", file=sys.stderr)
-            return EXIT_GUARD
-        result.entropy *= per_bit
-        reports["marginal_fidelity"] = result.marginal_report
-        extra["entropy"] = result.entropy
-        extra["entropy_method"] = result.entropy_method
+    result = reconstruct_global(ms, tol=args.tol_reconstruction)
+    result.entropy *= per_bit
+    reports["marginal_fidelity"] = result.marginal_report
+    extra = {
+        "max_entropy_formula": formula,
+        "entropy": result.entropy,
+        "entropy_method": result.entropy_method,
         # the merge weights are unitless and keep their values under --log-base
-        extra["step_cmis"] = [{**s._asdict(), "residual": s.residual * per_bit} for s in result.steps]
-        if args.state_out:
-            save_state(result.state, args.state_out)
-        if not args.json:
-            print(f"reconstruction entropy: {result.entropy:.9f} ({result.entropy_method})")
-            print(f"max-entropy formula:    {formula:.9f}")
-            print(
-                f"marginal fidelity: max residual "
-                f"{result.marginal_report.max_residual():.3e}, "
-                f"{'pass' if result.marginal_report.passed else 'FAIL'}"
-            )
-    elif not args.json:
-        print(f"max-entropy formula: {formula:.9f}")
-    payload = _report_payload("reconstruct", args, reports, extra)
-    _emit(args, payload)
-    ok = all(rep.passed for rep in reports.values())
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        "step_cmis": [{**s._asdict(), "residual": s.residual * per_bit} for s in result.steps],
+    }
+    if args.state_out:
+        save_state(result.state, args.state_out)
+    if not args.json:
+        print(f"reconstruction entropy: {result.entropy:.9f} ({result.entropy_method})")
+        print(f"max-entropy formula:    {formula:.9f}")
+        print(
+            f"marginal fidelity: max residual "
+            f"{result.marginal_report.max_residual():.3e}, "
+            f"{'pass' if result.marginal_report.passed else 'FAIL'}"
+        )
+    _emit(args, _report_payload("reconstruct", args, reports, extra))
+    return EXIT_OK if all(rep.passed for rep in reports.values()) else EXIT_CHECK_FAILED
 
 
 def cmd_entropy(args) -> int:
@@ -257,6 +258,7 @@ def cmd_entropy(args) -> int:
         reader.feed(consistency.add, entropies.add)
     consistency = consistency.report()
     if not consistency.passed:
+        _emit(args, _report_payload("entropy", args, {"consistency": consistency}))
         rec = consistency.failures()[0]
         print(f"error: {rec.check_id} fails: trace distance {rec.residual:.3e} > {rec.tol:.0e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -369,21 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "reconstruct",
-        help="rebuild the global state by row merges, take its entropy by the certified row chain rule "
-        "(exact spectrum when a step's bound exceeds --tol-reconstruction), compare with the formula; "
-        "the dense state is formed only for --state-out or that exact path",
+        help="check every overlapping cluster pair and the Markov conditions, rebuild the global state by row "
+        "merges, take its entropy by the certified row chain rule (exact spectrum when a step's bound exceeds "
+        "--tol-reconstruction), compare with the formula; the dense state is formed only for --state-out or that "
+        "exact path, and a window past the dense guard is refused (`snakeweaver entropy` gives its formula)",
     )
     p.add_argument("--force", action="store_true",
                    help="reconstruct even when checks fail, taking each region from its first parent cluster")
-    only = p.add_mutually_exclusive_group()
-    only.add_argument(
-        "--formula-only",
-        action="store_true",
-        help="skip the reconstruction and print only the formula; the reconstruction forms its dense "
-        "2^(width*height) state only for --state-out or its exact path, but refuses windows past the "
-        "dense-dimension guard, which need this flag",
-    )
-    only.add_argument(
+    p.add_argument(
         "--state-out",
         metavar="PATH",
         help="form the dense reconstructed state, which otherwise only the exact path forms, and write it as an "

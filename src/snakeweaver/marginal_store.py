@@ -57,6 +57,7 @@ from .operator_core import (
     DensityOperator,
     StateError,
     certified_trace_distance,
+    check_dim_guard,
     cmi,
     partial_trace,
 )
@@ -102,6 +103,10 @@ class Window:
 
     def contains_region(self, region) -> bool:
         return all(self.contains(v) for v in region)
+
+    def check_dense_guard(self) -> None:
+        """Raise DimensionGuardError when the dense state of the window is past the guard."""
+        check_dim_guard(LOCAL_DIM ** (self.width * self.height))
 
     def cluster_anchors(self) -> tuple[Vertex, ...]:
         """Anchors of the 3x3 clusters fully inside the window."""

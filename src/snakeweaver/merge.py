@@ -192,7 +192,8 @@ def right_merge(sigma: DensityOperator, rho: DensityOperator) -> DensityOperator
     return out
 
 
-class MarkovCheck(NamedTuple):
+class RecoveryCheck(NamedTuple):
+    """The verdict of ``is_markov_via_recovery``: the Petz recovery residual against ``tol``, and the CMI."""
     ok: bool
     residual: float
     cmi: float
@@ -200,7 +201,7 @@ class MarkovCheck(NamedTuple):
 
 def is_markov_via_recovery(
     op: DensityOperator, A, B, C, tol: float = 1e-8
-) -> MarkovCheck:
+) -> RecoveryCheck:
     """Petz test: does recovering from the AB marginal through B reproduce the state?
 
     The residual is the exact trace distance between ``op`` (reduced to A+B+C)
@@ -218,7 +219,7 @@ def is_markov_via_recovery(
         logger.debug(
             "recovery residual %.3e and CMI %.3e straddle tolerance %g", residual, i_val, tol
         )
-    return MarkovCheck(residual <= tol, residual, i_val)
+    return RecoveryCheck(residual <= tol, residual, i_val)
 
 
 def merging_lemma_combine(

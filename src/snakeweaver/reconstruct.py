@@ -26,10 +26,8 @@ from .marginal_store import (
 )
 from .merge import right_merge_info, right_merge_marginals
 from .operator_core import (
-    LOCAL_DIM,
     TRACE_TOL,
     DensityOperator,
-    check_dim_guard,
     cmi,
     entropy,
     med,
@@ -104,7 +102,7 @@ def reconstruct_global(ms: MarginalSet, *, tol: float = 1e-6) -> ReconstructionR
     detail says which.
     """
     window = ms.window
-    check_dim_guard(LOCAL_DIM ** (window.width * window.height))
+    window.check_dense_guard()
 
     sigma = build_snake(ms, SnakeSpec(2, (0, 0), (window.width - 1, 0)))
     clusters = [cluster_region(anchor, 3, 3) for anchor in ms.anchors()]

@@ -15,7 +15,7 @@ from snakeweaver.cli import main
 from snakeweaver.marginal_store import MarginalSet, Window, check_local_consistency, check_markov_conditions
 from snakeweaver.operator_core import DensityOperator, StateError
 from snakeweaver.oracles import RowMarkovSource, depolarize_marginal, gen_product, gen_row_markov, ghz_row_source
-from snakeweaver.reconstruct import max_entropy_terms, reconstruct_global, row_major_med
+from snakeweaver.reconstruct import max_entropy_formula, max_entropy_terms, reconstruct_global, row_major_med
 
 
 def run(*argv):
@@ -84,9 +84,13 @@ def test_depolarized_kind_fails_consistency(depolarized_file, capsys):
     ]
     assert failing and all("2,0" in f for f in failing)
     # entropy reads derived marginals only after its own full-pairwise check: a failed check, not a traceback
-    assert run("entropy", str(depolarized_file)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: consistency:2,0|3,0 fails") and err.count("\n") == 1
+    assert run("entropy", str(depolarized_file), "--json") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: consistency:2,0|3,0 fails") and captured.err.count("\n") == 1
+    # the refused run still reports its check, and no entropy
+    refused = json.loads(captured.out)
+    assert list(refused) == ["schema_version", "command", "config", "checks", "peak_rss_mb"]
+    assert list(refused["checks"]) == ["consistency"] and not refused["checks"]["consistency"]["passed"]
 
 
 def test_reconstruct_force_rebuilds_inconsistent_marginals(depolarized_file, capsys):
@@ -296,7 +300,7 @@ def test_a_damaged_last_cluster_is_refused_after_the_others_were_checked(damage,
     assert captured.out == "" and not report.exists()
 
 
-@pytest.mark.parametrize("width,height", [(4, 4), (5, 4)])
+@pytest.mark.parametrize("width,height", [(4, 4), (5, 4), (4, 3), (3, 4)])
 def test_reports_do_not_depend_on_the_anchor_order_and_equal_the_marginal_set_checks(width, height, tmp_path,
                                                                                     capsys):
     window = Window(width, height)
@@ -307,7 +311,8 @@ def test_reports_do_not_depend_on_the_anchor_order_and_equal_the_marginal_set_ch
     np.savez(reversed_, format_version=2, window=np.array([width, height]), local_dim=2, anchors=np.array(anchors),
              matrices=np.stack([ms.marginals[a].matrix for a in anchors]))
     assert list(MarginalSet.load(reversed_).marginals) == list(anchors)
-    for command in ("check", "entropy"):
+    # reconstruct refuses windows past the dense guard, 4x4 and 5x4, from the header
+    for command in ("check", "entropy") + (("reconstruct",) if width * height <= 14 else ()):
         outputs = []
         for path in (canonical, reversed_):
             assert run(command, str(path), "--json") == 0
@@ -319,6 +324,10 @@ def test_reports_do_not_depend_on_the_anchor_order_and_equal_the_marginal_set_ch
         if command == "check":
             assert checks["consistency"] == check_local_consistency(ms).to_dict()
             assert checks["markov"] == check_markov_conditions(ms).to_dict()
+        elif command == "reconstruct":
+            assert checks["consistency"] == check_local_consistency(ms, full_pairwise=True).to_dict()
+            assert checks["markov"] == check_markov_conditions(ms).to_dict()
+            assert checks["marginal_fidelity"]["passed"]
         else:
             assert checks["consistency"] == check_local_consistency(ms, full_pairwise=True).to_dict()
             terms = max_entropy_terms(ms)
@@ -373,18 +382,50 @@ def test_reconstruct_reports_the_exact_path_for_a_random_pure_state(tmp_path, ca
     assert [step["method"] for step in payload["step_cmis"]] == ["exact"]
 
 
-def test_reconstruct_guard_exit_3(tmp_path):
-    path = tmp_path / "tall.json"
+@pytest.fixture(scope="module")
+def tall_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "tall.npz"
     assert run("generate", "--kind", "row-markov", "--width", "3", "--height", "5",
                "--unitaries", "none", "--seed", "3", "--out", str(path)) == 0
-    assert run("reconstruct", str(path)) == 3
-    assert run("reconstruct", str(path), "--formula-only") == 0
+    return path
 
 
-def test_reconstruct_refuses_failing_input_without_force(tmp_path):
-    path = tmp_path / "ghz.json"
+def test_reconstruct_guard_exit_3(tall_file, capsys):
+    capsys.readouterr()
+    assert run("reconstruct", str(tall_file)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "guard" in err and "snakeweaver entropy" in err
+    # entropy gives the formula of a window past the guard
+    payload = _json_run(capsys, "entropy", str(tall_file))
+    assert payload["max_entropy_formula"] == float(max_entropy_formula(MarginalSet.load(tall_file)))
+
+
+def test_reconstruct_refuses_a_window_past_the_guard_before_reading_a_cluster(tall_file, tmp_path, capsys):
+    members = _members(tall_file)
+    _non_finite(members["matrices"])
+    path, report = tmp_path / "bad.npz", tmp_path / "report.json"
+    np.savez(path, **members)
+    assert run("check", str(path)) == 2  # the last cluster is refused once it is read
+    capsys.readouterr()
+    assert run("reconstruct", str(path), "--json", "--report", str(report)) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and "guard" in captured.err
+    assert captured.out == "" and not report.exists()
+
+
+def test_reconstruct_refuses_failing_input_without_force(tmp_path, capsys):
+    path, report = tmp_path / "ghz.json", tmp_path / "report.json"
     run("generate", "--kind", "ghz-row", "--width", "3", "--height", "3", "--out", str(path))
-    assert run("reconstruct", str(path)) == 1
+    capsys.readouterr()
+    assert run("reconstruct", str(path), "--json", "--report", str(report)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: marginals fail their checks; rerun with --force to reconstruct anyway\n"
+    # the refused run still reports its checks, and nothing of a reconstruction
+    payload = json.loads(captured.out)
+    assert json.loads(report.read_text()) == payload
+    assert list(payload) == ["schema_version", "command", "config", "checks", "peak_rss_mb"]
+    assert list(payload["checks"]) == ["consistency", "markov"] and not payload["checks"]["markov"]["passed"]
     assert run("reconstruct", str(path), "--force") == 1  # proceeds, fidelity still fails
 
 
@@ -480,6 +521,8 @@ def test_every_json_report_carries_the_peak_rss(command, row_file, tmp_path, cap
         # BLAS threads are capped by the BLAS library's environment variables, not by an option
         ("check", "--threads", "2"),
         ("generate", "--kind", "product", "--threads", "2"),
+        # `entropy` gives the formula alone, for any window
+        ("reconstruct", "--formula-only"),
     ],
 )
 def test_flags_a_command_does_not_read_are_rejected(argv, row_file, tmp_path, capsys):
@@ -590,7 +633,7 @@ def test_a_window_without_a_cluster_exits_2(argv, tmp_path, capsys):
 def test_a_tolerance_that_cannot_be_checked_exits_2(flag, value, row_file, monkeypatch, capsys):
     # under a NaN step tolerance `reconstruct` takes a 0.19-bit step bound as certified; under -1 every check fails
     ran = []
-    for name in ("check_local_consistency", "check_markov_conditions"):
+    for name in ("MarginalReader", "reconstruct_global"):
         monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: ran.append(_name))
     with pytest.raises(SystemExit) as exc:
         run("reconstruct", str(row_file), flag, value)
@@ -615,7 +658,7 @@ def test_an_unwritable_output_path_exits_2_with_one_error_line(flag, row_file, t
         "--state-out": ("reconstruct", str(row_file), "--state-out", path),
     }[flag]
     ran = []
-    for name in ("MarginalReader", "check_markov_conditions", "max_entropy_terms"):
+    for name in ("MarginalReader", "max_entropy_formula", "max_entropy_terms"):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, _real=real, _name=name, **k: ran.append(_name) or _real(*a, **k))
     assert run(*argv) == 2
@@ -648,15 +691,6 @@ def test_an_output_that_names_the_input_or_another_output_is_refused(case, row_f
     assert all(flag in err for flag in flags) and (len(flags) == 2 or "the input file" in err)
     # no file is created or changed
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-
-
-def test_formula_only_and_state_out_are_refused_together(row_file, tmp_path, capsys):
-    out = tmp_path / "state.npz"
-    with pytest.raises(SystemExit) as exc:
-        run("reconstruct", str(row_file), "--formula-only", "--state-out", str(out))
-    assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_a_crafted_huge_window_is_refused_at_once_with_a_short_error(tmp_path, capsys):

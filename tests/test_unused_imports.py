@@ -2,8 +2,9 @@
 UPPER_CASE constant and every function, method and property in ``src/`` is read somewhere in ``src/``, ``tests/`` or
 ``perfbench/``, every exception class defined in ``src/`` is raised somewhere in ``src/``, only the two functions
 that need the exact value read ``trace_distance`` in ``src/``, the local dimension is one constant of
-``operator_core`` that nothing in ``src/`` sets, and the third-party modules ``src/`` imports are exactly the
-dependencies ``pyproject.toml`` declares."""
+``operator_core`` that nothing in ``src/`` sets, the CLI reads no ``load``, so ``MarginalReader`` is its one read
+path for marginal files, and the third-party modules ``src/`` imports are exactly the dependencies ``pyproject.toml``
+declares."""
 
 import ast
 import builtins
@@ -285,6 +286,13 @@ def test_only_two_functions_in_src_read_trace_distance():
         "src/snakeweaver/merge.py:is_markov_via_recovery",
         "src/snakeweaver/operator_core.py:certified_trace_distance",
     ]
+
+
+def test_the_cli_reads_marginal_files_only_through_the_reader():
+    # every command checks a file in the one pass of MarginalReader.feed; a second read path through
+    # MarginalSet.load would read and check it apart from that pass
+    cli = "src/snakeweaver/cli.py"
+    assert functions_reading({cli: (ROOT / cli).read_text()}, "load") == []
 
 
 def test_the_local_dimension_is_one_constant_of_operator_core():
