@@ -1,9 +1,6 @@
 """Command-line surface: generate marginal files, run checks, reconstruct, evaluate entropies.
 
-The library computes every entropy and CMI in bits.  This module is the one
-place that knows another unit: with ``--log-base e`` it reads ``--tol-cmi`` in
-nats, runs the checks in bits and multiplies every entropy, CMI residual and
-CMI tolerance it prints or writes by ln 2.
+Every entropy, CMI and CMI tolerance is in bits.
 
 Exit codes: 0 success, 1 a check failed, 2 unusable input or an OS-level I/O
 failure (such as an output path that cannot be written), 3 resource guard.
@@ -40,7 +37,6 @@ import sys
 
 from .lattice import GeometryError, cluster_region
 from .marginal_store import (
-    CheckReport,
     ConsistencyCheck,
     MarginalFileError,
     MarginalReader,
@@ -52,6 +48,7 @@ from .marginal_store import (
     save_marginals,
     save_state,
 )
+from .merge import SupportMismatchError
 from .operator_core import DimensionGuardError, StateError, partial_trace
 from .oracles import depolarization_anchor, depolarize, gen_product, gen_row_markov, ghz_row_state
 from .reconstruct import formula_regions, max_entropy_formula, max_entropy_terms, reconstruct_global, row_major_med
@@ -61,38 +58,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_GUARD = 3
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _STATE_FILE = "uncompressed .npz container with members format_version, local_dim, region (n,2) and matrix"
-
-
-def _parse_log_base(text: str) -> float:
-    if text in ("2", "bits"):
-        return 2.0
-    if text in ("e", "nats"):
-        return math.e
-    raise argparse.ArgumentTypeError(f"log base must be '2' or 'e', got {text!r}")
-
-
-def _per_bit(args) -> float:
-    """Reported units per bit: exactly 1 for bits, ln 2 for nats."""
-    return math.log(2.0) / math.log(args.log_base)
-
-
-def _cmis_in_unit(report: CheckReport, per_bit: float) -> CheckReport:
-    """Convert the CMI residuals and tolerances of ``report`` from bits; trace distances have no unit."""
-    for rec in report.records:
-        if rec.kind == "cmi":
-            rec.residual *= per_bit
-            rec.tol *= per_bit
-    return report
 
 
 def _add_report_options(parser: argparse.ArgumentParser) -> None:
     """Options of the commands that read a marginal file and report on it."""
     parser.add_argument("file")
-    unit_help = "'2' (bits, default) or 'e' (nats): converts every reported entropy and CMI, and --tol-cmi"
-    parser.add_argument("--log-base", type=_parse_log_base, default=2.0, help=unit_help)
     parser.add_argument("--report", metavar="PATH", help="also write the JSON report to this path")
     parser.add_argument("--json", action="store_true", help="print the machine-readable report to stdout")
 
@@ -121,7 +94,7 @@ def _parse_seed(text: str) -> int:
 
 def _add_tolerances(parser: argparse.ArgumentParser) -> None:
     """Check tolerances of the commands that run the consistency and Markov checks."""
-    for flag, what in (("--tol-cmi", "CMI tolerance in the --log-base unit"),
+    for flag, what in (("--tol-cmi", "CMI tolerance in bits"),
                        ("--tol-consistency", "overlap trace-distance tolerance; a record holds the Frobenius upper "
                         "bound 1/2 sqrt(D) ||X||_F on the distance when it passes, else the exact distance, and its "
                         "detail names the method")):
@@ -168,7 +141,6 @@ def _emit(args, payload: dict) -> None:
 
 def _report_payload(command: str, args, reports: dict, extra: dict | None = None) -> dict:
     config = {key: getattr(args, key) for key in ("tol_cmi", "tol_consistency") if key in args}
-    config["log_base"] = "e" if args.log_base == math.e else args.log_base
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -181,12 +153,11 @@ def _report_payload(command: str, args, reports: dict, extra: dict | None = None
 
 
 def cmd_check(args) -> int:
-    per_bit = _per_bit(args)
     with MarginalReader(args.file) as reader:
         consistency = ConsistencyCheck(reader.window, args.tol_consistency, args.full_pairwise)
-        markov = MarkovCheck(reader.window, args.tol_cmi / per_bit)
+        markov = MarkovCheck(reader.window, args.tol_cmi)
         reader.feed(consistency.add, markov.add)
-    consistency, markov = consistency.report(), _cmis_in_unit(markov.report(), per_bit)
+    consistency, markov = consistency.report(), markov.report()
     ok = consistency.passed and markov.passed
     payload = _report_payload("check", args, {"consistency": consistency, "markov": markov})
     _emit(args, payload)
@@ -207,7 +178,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    per_bit = _per_bit(args)
     with MarginalReader(args.file) as reader:
         try:
             reader.window.check_dense_guard()
@@ -215,26 +185,29 @@ def cmd_reconstruct(args) -> int:
             print(f"error: {exc} (`snakeweaver entropy` gives the formula of a big window)", file=sys.stderr)
             return EXIT_GUARD
         consistency = ConsistencyCheck(reader.window, args.tol_consistency, full_pairwise=True)
-        markov = MarkovCheck(reader.window, args.tol_cmi / per_bit)
+        markov = MarkovCheck(reader.window, args.tol_cmi)
         marginals = {}
         reader.feed(consistency.add, markov.add, marginals.__setitem__)
     ms = MarginalSet(reader.window, marginals)
-    reports = {"consistency": consistency.report(), "markov": _cmis_in_unit(markov.report(), per_bit)}
+    reports = {"consistency": consistency.report(), "markov": markov.report()}
     if not all(rep.passed for rep in reports.values()) and not args.force:
         _emit(args, _report_payload("reconstruct", args, reports))
         print("error: marginals fail their checks; rerun with --force to reconstruct anyway", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
-    formula = float(max_entropy_formula(ms)) * per_bit
-    result = reconstruct_global(ms, tol=args.tol_reconstruction)
-    result.entropy *= per_bit
+    formula = float(max_entropy_formula(ms))
+    try:
+        result = reconstruct_global(ms, tol=args.tol_reconstruction)
+    except SupportMismatchError as exc:  # only overlaps that fail consistency, so only under --force
+        _emit(args, _report_payload("reconstruct", args, reports))
+        print(f"error: cannot reconstruct: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     reports["marginal_fidelity"] = result.marginal_report
     extra = {
         "max_entropy_formula": formula,
         "entropy": result.entropy,
         "entropy_method": result.entropy_method,
-        # the merge weights are unitless and keep their values under --log-base
-        "step_cmis": [{**s._asdict(), "residual": s.residual * per_bit} for s in result.steps],
+        "step_cmis": [s._asdict() for s in result.steps],
     }
     if args.state_out:
         save_state(result.state, args.state_out)
@@ -262,10 +235,9 @@ def cmd_entropy(args) -> int:
         rec = consistency.failures()[0]
         print(f"error: {rec.check_id} fails: trace distance {rec.residual:.3e} > {rec.tol:.0e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    per_bit = _per_bit(args)
-    terms = [(a, t * per_bit) for a, t in max_entropy_terms(entropies, window)]
+    terms = max_entropy_terms(entropies, window)
     formula = sum(t for _, t in terms)
-    med_value = row_major_med(entropies, window) * per_bit
+    med_value = row_major_med(entropies, window)
     payload = _report_payload(
         "entropy",
         args,

@@ -248,7 +248,7 @@ class RowMarkovSource:
         return MarginalSet(self.window, margs)
 
     def global_state(self) -> DensityOperator:
-        check_dim_guard(LOCAL_DIM ** (self.window.width * self.window.height))
+        self.window.check_dense_guard()
         return self.marginal(self.window.sites())
 
 
@@ -290,7 +290,7 @@ class ProductSource:
         return MarginalSet(self.window, margs)
 
     def global_state(self) -> DensityOperator:
-        check_dim_guard(LOCAL_DIM ** (self.window.width * self.window.height))
+        self.window.check_dense_guard()
         return self.marginal(self.window.sites())
 
 
@@ -303,7 +303,7 @@ def ghz_row_state(window: Window) -> DensityOperator:
 
     With width 3 the full GHZ row sits inside every cluster, so the Markov checks must fail.
     """
-    check_dim_guard(LOCAL_DIM ** len(window.sites()))
+    window.check_dense_guard()
     row = window.height - 1
     row_sites = as_region([(x, row) for x in range(window.width)])
     rest = as_region([v for v in window.sites() if v[1] != row])

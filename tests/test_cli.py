@@ -12,7 +12,13 @@ import pytest
 
 from snakeweaver import cli
 from snakeweaver.cli import main
-from snakeweaver.marginal_store import MarginalSet, Window, check_local_consistency, check_markov_conditions
+from snakeweaver.marginal_store import (
+    MarginalSet,
+    Window,
+    check_local_consistency,
+    check_markov_conditions,
+    save_marginals,
+)
 from snakeweaver.operator_core import DensityOperator, StateError
 from snakeweaver.oracles import RowMarkovSource, depolarize_marginal, gen_product, gen_row_markov, ghz_row_source
 from snakeweaver.reconstruct import max_entropy_formula, max_entropy_terms, reconstruct_global, row_major_med
@@ -40,7 +46,7 @@ def test_check_json_report(row_file, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert run("check", str(row_file), "--json", "--report", str(report_path)) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 5
+    assert payload["schema_version"] == 6
     assert payload["command"] == "check"
     assert payload["checks"]["markov"]["passed"] is True
     assert payload["checks"]["markov"]["summary"]["cmi"]["checks"] == 8
@@ -414,6 +420,22 @@ def test_reconstruct_refuses_a_window_past_the_guard_before_reading_a_cluster(ta
     assert captured.out == "" and not report.exists()
 
 
+def test_reconstruct_force_on_overlaps_of_disjoint_support_is_refused_with_its_checks(tmp_path, capsys):
+    # cluster (2,0) is |0..0><0..0| and cluster (3,0) is |1..1><1..1|, so no merge of them has a trace
+    path, window = tmp_path / "disjoint.npz", Window(4, 3)
+    zeros, ones = np.zeros((512, 512), complex), np.zeros((512, 512), complex)
+    zeros[0, 0] = ones[-1, -1] = 1.0
+    save_marginals(path, window, [zeros, ones])
+    assert window.cluster_anchors() == ((2, 0), (3, 0))
+    assert run("reconstruct", str(path), "--force", "--json") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert payload["checks"]["consistency"]["passed"] is False
+    assert "entropy" not in payload
+
+
 def test_reconstruct_refuses_failing_input_without_force(tmp_path, capsys):
     path, report = tmp_path / "ghz.json", tmp_path / "report.json"
     run("generate", "--kind", "ghz-row", "--width", "3", "--height", "3", "--out", str(path))
@@ -437,45 +459,9 @@ def test_entropy_command(row_file, capsys):
     assert payload["checks"]["consistency"]["passed"] is True  # a single cluster has no pair to check
 
 
-def test_entropy_nats(row_file, capsys):
-    assert run("entropy", str(row_file), "--json", "--log-base", "e") == 0
-    nats = json.loads(capsys.readouterr().out)["max_entropy_formula"]
-    assert run("entropy", str(row_file), "--json") == 0
-    bits = json.loads(capsys.readouterr().out)["max_entropy_formula"]
-    assert nats == pytest.approx(bits * np.log(2.0), abs=1e-9)
-
-
 def _json_run(capsys, *argv):
     assert run(*argv, "--json") == 0
     return json.loads(capsys.readouterr().out)
-
-
-@pytest.mark.parametrize("command", ["check", "reconstruct"])
-def test_nats_reports_are_the_bits_reports_times_ln2(command, row_file, capsys):
-    ln2 = math.log(2.0)
-    bits = _json_run(capsys, command, str(row_file), "--tol-cmi", "1e-8")
-    nats = _json_run(capsys, command, str(row_file), "--log-base", "e", "--tol-cmi", repr(1e-8 * ln2))
-    assert nats["config"]["log_base"] == "e"
-    for name, report in bits["checks"].items():
-        other = nats["checks"][name]
-        assert other["passed"] == report["passed"]
-        assert len(other["records"]) == len(report["records"])
-        for b, n in zip(report["records"], other["records"]):
-            scale = ln2 if b["kind"] == "cmi" else 1.0
-            assert (n["check_id"], n["passed"]) == (b["check_id"], b["passed"])
-            assert n["residual"] == pytest.approx(b["residual"] * scale, rel=1e-12, abs=0)
-            assert n["tol"] == pytest.approx(b["tol"] * scale, rel=1e-12, abs=0)
-    if command == "check":
-        assert len(nats["checks"]["markov"]["records"]) == 8
-        return
-    for key in ("entropy", "max_entropy_formula"):
-        assert nats[key] == pytest.approx(bits[key] * ln2, rel=1e-12, abs=0)
-    assert len(nats["step_cmis"]) == len(bits["step_cmis"]) == 1
-    for b, n in zip(bits["step_cmis"], nats["step_cmis"]):
-        assert (n["shared_row"], n["method"]) == (b["shared_row"], b["method"])
-        assert n["residual"] == pytest.approx(b["residual"] * ln2, rel=1e-12, abs=0)
-        for key in ("trace_before_renorm", "negative_weight"):  # unitless
-            assert n[key] == b[key]
 
 
 def test_an_extra_member_is_ignored(row_file, tmp_path, capsys):
@@ -499,7 +485,7 @@ def test_generate_json_prints_its_report(tmp_path, capsys):
                "--out", str(tmp_path / "p.json"), "--json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["schema_version", "command", "peak_rss_mb"]
-    assert (payload["schema_version"], payload["command"]) == (5, "generate")
+    assert (payload["schema_version"], payload["command"]) == (6, "generate")
     _assert_peak_rss(payload)
 
 
@@ -516,6 +502,10 @@ def test_every_json_report_carries_the_peak_rss(command, row_file, tmp_path, cap
 @pytest.mark.parametrize(
     "argv",
     [
+        # every entropy, CMI and CMI tolerance is in bits
+        ("check", "--log-base", "e"),
+        ("entropy", "--log-base", "e"),
+        ("reconstruct", "--log-base", "e"),
         ("generate", "--kind", "product", "--log-base", "e"),
         ("entropy", "--tol-cmi", "1e-6"),
         # BLAS threads are capped by the BLAS library's environment variables, not by an option

@@ -2,7 +2,8 @@
 UPPER_CASE constant and every function, method and property in ``src/`` is read somewhere in ``src/``, ``tests/`` or
 ``perfbench/``, every exception class defined in ``src/`` is raised somewhere in ``src/``, only the two functions
 that need the exact value read ``trace_distance`` in ``src/``, the local dimension is one constant of
-``operator_core`` that nothing in ``src/`` sets, the CLI reads no ``load``, so ``MarginalReader`` is its one read
+``operator_core`` that nothing in ``src/`` sets, no name or string in ``src/`` speaks of a second entropy unit, the
+CLI reads no ``load``, so ``MarginalReader`` is its one read
 path for marginal files, and the third-party modules ``src/`` imports are exactly the dependencies ``pyproject.toml``
 declares."""
 
@@ -153,6 +154,20 @@ def local_dimension_settings(defining: dict[str, str], home: str) -> list[str]:
     return sorted(found)
 
 
+def unit_conversions(defining: dict[str, str]) -> list[str]:
+    """``path:text`` of each identifier, parameter, attribute, keyword, imported name or string literal of ``defining``
+    that contains ``log_base``, ``log-base`` or ``per_bit``."""
+    pattern = re.compile(r"log_base|log-base|per_bit")
+    found = []
+    for path, source in defining.items():
+        for node in ast.walk(ast.parse(source)):
+            texts = [getattr(node, field, None) for field in ("id", "attr", "arg", "name", "asname")]
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                texts.append(node.value)
+            found += [f"{path}:{text}" for text in texts if isinstance(text, str) and pattern.search(text)]
+    return sorted(found)
+
+
 def third_party_imports(sources: list[str], own: str) -> list[str]:
     """The top-level modules that ``sources`` import, at module or function level, outside the standard library and
     the package ``own``; a relative import is the package's own."""
@@ -232,6 +247,19 @@ def test_the_scan_finds_every_setting_of_the_local_dimension():
     ]
 
 
+def test_the_scan_finds_every_second_entropy_unit():
+    defining = {
+        "a.py": "import math\ndef f(x, log_base=2.0):\n    per_bit = math.log(2.0) / math.log(log_base)\n"
+                "    return x * per_bit\n",
+        "b.py": "from m import scale_per_bit as s\nclass K:\n    log_base_e: float\ng = K().log_base_e\n"
+                "h(x, log_base=2)\np.add_argument('--log-base')\nlogbase = 'bits'\n",
+    }
+    assert unit_conversions(defining) == [
+        "a.py:log_base", "a.py:log_base", "a.py:per_bit", "a.py:per_bit",
+        "b.py:--log-base", "b.py:log_base", "b.py:log_base_e", "b.py:log_base_e", "b.py:scale_per_bit",
+    ]
+
+
 def test_the_scan_compares_third_party_imports_with_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     sources = [
@@ -299,3 +327,10 @@ def test_the_local_dimension_is_one_constant_of_operator_core():
     # every site is a qubit; a parameter or field that could set another local dimension would reopen that choice
     defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
     assert local_dimension_settings(defining, "src/snakeweaver/operator_core.py") == []
+
+
+def test_every_entropy_in_src_is_in_bits():
+    # the library computes every entropy and CMI in bits and every report carries those values; a unit option or a
+    # conversion factor would give one command two units again
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert unit_conversions(defining) == []
