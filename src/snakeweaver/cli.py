@@ -3,22 +3,27 @@
 Every entropy, CMI and CMI tolerance is in bits.
 
 Exit codes: 0 success, 1 a check failed, 2 unusable input or an OS-level I/O
-failure (such as an output path that cannot be written), 3 resource guard.
-A command that fails leaves no partial output file: every matrix file is
-written to a temporary sibling and renamed onto its path once complete, so a
-failed write leaves whatever stood at the path as it was.  ``generate``
-writes its marginal file one cluster at a time, as each is built.  The other
+failure (such as an output path that cannot be written), 3 ``reconstruct``'s
+resource guard.
+
+The outputs are the marginal file that ``generate`` writes and the JSON
+reports of every command.  A command that fails leaves no partial marginal
+file: it is written to a temporary sibling and renamed onto its path once
+complete, so a failed write leaves whatever stood at the path as it was.
+``generate`` writes it one cluster at a time, as each is built.  The other
 commands read it in one ``MarginalReader`` pass: the reader validates each
 cluster and the checks and entropies take what they need from it; ``check``
 and ``entropy`` release it before the next is read, and ``reconstruct``
 keeps it for its merges.  The whole file is read, its CRC included, before
 any report is written, so a file refused at its last cluster leaves no
 report; input refused by the checks still gets its ``checks`` report, with
-no entropy, before exit 1.  ``reconstruct`` refuses a window whose dense
-state is past the guard from the file's header, before any cluster is read,
-so it exits 3 even where the checks would fail; ``entropy`` takes any window.
-An output path that names the input file or another output is refused before
-any file is created or changed.
+no entropy, before exit 1.  ``reconstruct`` continues only when its checks
+pass at ``--tol-consistency`` and ``--tol-cmi``; to rebuild failing input,
+raise them past any residual (a trace distance is at most 1, a cluster CMI
+at most 10 bits).  It refuses a window whose dense state is past the guard
+from the file's header, before any cluster is read, so it exits 3 even where
+the checks would fail; ``entropy`` takes any window.  A report path that
+names the input file is refused before any file is created or changed.
 
 BLAS threads are capped by the BLAS library's own environment variables,
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, set
@@ -28,7 +33,6 @@ before the command starts; no option of this module sets them.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -46,11 +50,10 @@ from .marginal_store import (
     Window,
     require_cluster,
     save_marginals,
-    save_state,
 )
 from .merge import SupportMismatchError
-from .operator_core import DimensionGuardError, StateError, partial_trace
-from .oracles import depolarization_anchor, depolarize, gen_product, gen_row_markov, ghz_row_state
+from .operator_core import DimensionGuardError, StateError
+from .oracles import gen_product, gen_row_markov
 from .reconstruct import formula_regions, max_entropy_formula, max_entropy_terms, reconstruct_global, row_major_med
 
 EXIT_OK = 0
@@ -59,8 +62,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_GUARD = 3
 
 SCHEMA_VERSION = 6
-
-_STATE_FILE = "uncompressed .npz container with members format_version, local_dim, region (n,2) and matrix"
 
 
 def _add_report_options(parser: argparse.ArgumentParser) -> None:
@@ -111,21 +112,19 @@ def _same_file(a: str, b: str) -> bool:
         return False
 
 
-def _probe_outputs(args) -> None:
-    """Refuse an output path that names the input file or an earlier output, then open every output path for
-    appending and remove what that created, so a clobbering or unwritable output fails before any work."""
-    outputs = [("--" + key.replace("_", "-"), getattr(args, key))
-               for key in ("out", "global_out", "report", "state_out") if getattr(args, key, None)]
-    named = ([("the input file", args.file)] if "file" in args else []) + outputs
-    for i, (flag, path) in enumerate(named):
-        for other, earlier in named[:i]:
-            if _same_file(earlier, path):
-                raise FileExistsError(f"{other} and {flag} both name {path}")
-    for _, path in outputs:
-        existed = os.path.lexists(path)
-        open(path, "ab").close()
-        if not existed:
-            os.remove(path)
+def _probe_output(args) -> None:
+    """Refuse a report path that names the input file, then open the output path (``generate``'s ``--out``, or
+    the ``--report`` of the others) for appending and remove what that created, so a clobbering or unwritable
+    output fails before any work."""
+    flag, path = ("--out", args.out) if "out" in args else ("--report", args.report)
+    if not path:
+        return
+    if "file" in args and _same_file(args.file, path):
+        raise FileExistsError(f"the input file and {flag} both name {path}")
+    existed = os.path.lexists(path)
+    open(path, "ab").close()
+    if not existed:
+        os.remove(path)
 
 
 def _emit(args, payload: dict) -> None:
@@ -190,15 +189,16 @@ def cmd_reconstruct(args) -> int:
         reader.feed(consistency.add, markov.add, marginals.__setitem__)
     ms = MarginalSet(reader.window, marginals)
     reports = {"consistency": consistency.report(), "markov": markov.report()}
-    if not all(rep.passed for rep in reports.values()) and not args.force:
+    if not all(rep.passed for rep in reports.values()):
         _emit(args, _report_payload("reconstruct", args, reports))
-        print("error: marginals fail their checks; rerun with --force to reconstruct anyway", file=sys.stderr)
+        print("error: marginals fail their checks at --tol-consistency and --tol-cmi; raise them to reconstruct "
+              "anyway", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
     formula = float(max_entropy_formula(ms))
     try:
         result = reconstruct_global(ms, tol=args.tol_reconstruction)
-    except SupportMismatchError as exc:  # only overlaps that fail consistency, so only under --force
+    except SupportMismatchError as exc:  # only overlaps that disagree, so only under a loose --tol-consistency
         _emit(args, _report_payload("reconstruct", args, reports))
         print(f"error: cannot reconstruct: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -209,8 +209,6 @@ def cmd_reconstruct(args) -> int:
         "entropy_method": result.entropy_method,
         "step_cmis": [s._asdict() for s in result.steps],
     }
-    if args.state_out:
-        save_state(result.state, args.state_out)
     if not args.json:
         print(f"reconstruction entropy: {result.entropy:.9f} ({result.entropy_method})")
         print(f"max-entropy formula:    {formula:.9f}")
@@ -259,62 +257,23 @@ def cmd_entropy(args) -> int:
     return EXIT_OK
 
 
-# The options of `generate` that only some kinds read: each one's default and the kinds that read it.
-_KIND_OPTIONS = {
-    "eps": (1e-3, ("depolarized",)),
-    "anchor": (None, ("depolarized",)),
-    "unitaries": ("haar", ("row-markov", "column-markov", "depolarized")),
-    "seed": (0, ("product", "row-markov", "column-markov", "depolarized")),
-}
-
-
-def _fill_kind_options(args) -> None:
-    """Give each option of ``_KIND_OPTIONS`` left out its default; one given to a kind that does not read it raises
-    ValueError."""
-    for name, (default, kinds) in _KIND_OPTIONS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif args.kind not in kinds:
-            raise ValueError(f"--{name} is not read by --kind {args.kind}; only by {', '.join(kinds)}")
-
-
 def cmd_generate(args) -> int:
     try:
-        _fill_kind_options(args)
+        if args.unitaries is not None and args.kind == "product":
+            raise ValueError("--unitaries is not read by --kind product; only by row-markov, column-markov")
         window = Window(args.width, args.height)
         require_cluster(window)
-        anchors = window.cluster_anchors()
-        mixed = None  # the anchor whose marginal kind=depolarized mixes
-        if args.kind == "depolarized":
-            if args.global_out:
-                raise ValueError("depolarized marginals disagree on their overlaps, so no global state has them")
-            mixed = depolarization_anchor(anchors, anchors[0] if args.anchor is None else args.anchor, args.eps)
-        if args.kind == "ghz-row":
-            state = ghz_row_state(window)
-            marginal = functools.partial(partial_trace, state)
-        else:  # depolarized marginals start as row-markov ones
-            if args.kind == "product":
-                source = gen_product(window, seed=args.seed)
-            else:
-                orientation = "columns" if args.kind == "column-markov" else "rows"
-                source = gen_row_markov(window, seed=args.seed, orientation=orientation, unitaries=args.unitaries)
-            marginal = source.marginal
-            state = source.global_state() if args.global_out else None
-
-        def cluster(anchor):
-            op = marginal(cluster_region(anchor, 3, 3))
-            return depolarize(op, args.eps) if anchor == mixed else op
-
+        if args.kind == "product":
+            source = gen_product(window, seed=args.seed)
+        else:
+            orientation = "columns" if args.kind == "column-markov" else "rows"
+            source = gen_row_markov(window, seed=args.seed, orientation=orientation, unitaries=args.unitaries or "haar")
         # one cluster is built, written and released at a time
-        save_marginals(args.out, window, (cluster(a).matrix for a in anchors))
-    except DimensionGuardError as exc:  # a ValueError too, but a resource guard, not bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+        save_marginals(args.out, window, (source.marginal(cluster_region(a, 3, 3)).matrix
+                                          for a in window.cluster_anchors()))
     except (GeometryError, StateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.global_out:
-        save_state(state, args.global_out)
     if args.json:
         _emit(args, {"schema_version": SCHEMA_VERSION, "command": "generate"})
     else:
@@ -345,16 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
         "reconstruct",
         help="check every overlapping cluster pair and the Markov conditions, rebuild the global state by row "
         "merges, take its entropy by the certified row chain rule (exact spectrum when a step's bound exceeds "
-        "--tol-reconstruction), compare with the formula; the dense state is formed only for --state-out or that "
-        "exact path, and a window past the dense guard is refused (`snakeweaver entropy` gives its formula)",
-    )
-    p.add_argument("--force", action="store_true",
-                   help="reconstruct even when checks fail, taking each region from its first parent cluster")
-    p.add_argument(
-        "--state-out",
-        metavar="PATH",
-        help="form the dense reconstructed state, which otherwise only the exact path forms, and write it as an "
-        + _STATE_FILE,
+        "--tol-reconstruction), compare with the formula; the dense state is formed only for that exact path, "
+        "failing checks stop it (--tol-consistency 1 --tol-cmi 10 pass any residual, so they rebuild failing "
+        "input), and a window past the dense guard is refused (`snakeweaver entropy` gives its formula)",
     )
     p.add_argument(
         "--tol-reconstruction",
@@ -375,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("generate", help="emit marginal files from the built-in oracles")
-    p.add_argument("--kind", required=True, choices=["product", "row-markov", "column-markov", "ghz-row", "depolarized"])
+    p.add_argument("--kind", required=True, choices=["product", "row-markov", "column-markov"])
     p.add_argument("--width", type=int, default=4, help="window width, at least 3: a window needs a 3x3 cluster")
     p.add_argument("--height", type=int, default=4, help="window height, at least 3: a window needs a 3x3 cluster")
     p.add_argument(
@@ -385,19 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         "local_dim (always 2: every site is a qubit), anchors (k,2) and matrices (k,512,512) complex128, "
         "one 3x3-cluster marginal per anchor",
     )
-    p.add_argument(
-        "--global-out",
-        metavar="PATH",
-        help="also write the global state (guarded; refused for kind=depolarized, whose marginals no state has) as an "
-        + _STATE_FILE,
-    )
     p.add_argument("--unitaries", choices=["haar", "real", "none"],
-                   help="local unitaries of the row-markov, column-markov and depolarized kinds (default haar)")
-    p.add_argument("--eps", type=float,
-                   help="depolarization strength in [0, 1] for kind=depolarized (default 1e-3)")
-    p.add_argument("--anchor", type=int, nargs=2,
-                   help="anchor to depolarize for kind=depolarized (default the first cluster's)")
-    p.add_argument("--seed", type=_parse_seed, help="random seed of every kind but ghz-row (default 0)")
+                   help="local unitaries of the row-markov and column-markov kinds (default haar)")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="random seed (default 0)")
     p.add_argument("--json", action="store_true",
                    help="print a machine-readable report (schema_version, command, peak_rss_mb) instead of the banner")
     p.set_defaults(func=cmd_generate)
@@ -408,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _probe_outputs(args)
+        _probe_output(args)
         return args.func(args)
     except (MarginalFileError, OSError) as exc:  # any OS-level I/O failure; open's names the path it could not write
         print(f"error: {exc}", file=sys.stderr)

@@ -89,16 +89,18 @@ def validate_block_path(path: Sequence[Iterable]) -> BlockPath:
     if not blocks:
         raise GeometryError("block path must contain at least one block")
     seen: set[Vertex] = set()
+    # the neighbors of the sites seen, grown block by block: a block disjoint from ``seen`` touches the
+    # neighborhood of ``seen`` exactly where it meets this
+    reach: set[Vertex] = set()
     for k, block in enumerate(blocks):
         if not block:
             raise GeometryError(f"block {k} is empty")
-        if seen & set(block):
+        if not seen.isdisjoint(block):
             raise GeometryError(f"block {k} overlaps an earlier block")
-        if k > 0:
-            hood = set(region_neighborhood(seen))
-            if not (hood & set(block)):
-                raise GeometryError(f"block {k} is not adjacent to the blocks before it")
+        if k > 0 and reach.isdisjoint(block):
+            raise GeometryError(f"block {k} is not adjacent to the blocks before it")
         seen.update(block)
+        reach.update(u for v in block for u in neighbors(v))
     return blocks
 
 

@@ -2,18 +2,16 @@
 
 A marginal set needs at least one 3x3 cluster, so its window is at least 3x3.
 
-Every matrix file is one uncompressed ``.npz`` container, read with
-``allow_pickle=False``.  A marginal file (``save_marginals``,
-``MarginalSet.save``) holds the int64 members ``format_version`` (2),
-``window`` (width, height), ``local_dim`` and ``anchors`` (k, 2) in canonical
-order, and ``matrices`` (k, D, D) complex128 with D = 2 ** 9 = 512.  A state
-file (``save_state``) holds ``format_version``, ``local_dim``, ``region``
-(n, 2) and ``matrix``.  ``local_dim`` is always ``LOCAL_DIM`` (2): writers emit
-it, and ``MarginalSet.load`` refuses any other value before it opens
-``anchors`` or ``matrices``.  Readers ignore members they do not know, and
-refuse a member from its ``.npy`` header, before any of its data is read, when
-the header declares another dtype or shape; ``anchors`` must declare one row
-per cluster of the window.
+A marginal file (``save_marginals``, ``MarginalSet.save``) is one
+uncompressed ``.npz`` container, read with ``allow_pickle=False``, of the
+int64 members ``format_version`` (2), ``window`` (width, height),
+``local_dim`` and ``anchors`` (k, 2) in canonical order, and ``matrices``
+(k, D, D) complex128 with D = 2 ** 9 = 512.  ``local_dim`` is always
+``LOCAL_DIM`` (2): writers emit it, and ``MarginalSet.load`` refuses any
+other value before it opens ``anchors`` or ``matrices``.  Readers ignore
+members they do not know, and refuse a member from its ``.npy`` header,
+before any of its data is read, when the header declares another dtype or
+shape; ``anchors`` must declare one row per cluster of the window.
 
 ``matrices`` is written and read as a stream.  A writer sends each cluster's
 matrix to the file as it is produced, and ``MarginalReader`` reads, validates
@@ -23,7 +21,7 @@ that reader collected into a set.  The checks take one cluster at a time too:
 ``ConsistencyCheck`` and ``MarkovCheck`` are what ``check_local_consistency``
 and ``check_markov_conditions`` run over a set, and ``RegionEntropies`` keeps
 the entropies of regions listed beforehand from their first parents, so a
-command can check and evaluate a file in the reader's one pass.  Every file is
+command can check and evaluate a file in the reader's one pass.  A file is
 written to a temporary sibling and renamed onto its path once complete, so a
 write that fails leaves no file, and whatever stood at the path stays as it
 was.
@@ -32,6 +30,7 @@ was.
 from __future__ import annotations
 
 import os
+import tempfile
 import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -268,14 +267,14 @@ def _write_container(path, **members) -> None:
     The bytes are those ``np.savez`` writes for the same C-ordered members.  A member given as a ``Stack`` is the
     stack of its arrays, each written right after the member's ``.npy`` header as it is produced, so neither the
     stack nor a chunk copy of it is formed; too few or too many arrays, or one of another shape or dtype, raise
-    ValueError.  The container is written to a temporary sibling of ``path`` and renamed onto it once complete; on
-    any exception the temporary file is removed and ``path`` is left as it was.
+    ValueError.  The container is written to a temporary sibling of ``path``, under a name no other file has, and
+    renamed onto it once complete; on any exception the temporary file is removed and ``path`` is left as it was.
     """
     head, tail = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    zf = zipfile.ZipFile(tmp, "x", zipfile.ZIP_STORED, allowZip64=True)
+    # a unique name, so a temporary file that a killed write left behind blocks no later write
+    fd, tmp = tempfile.mkstemp(dir=head, prefix=f".{tail}.", suffix=".tmp")
     try:
-        with zf:
+        with open(fd, "wb") as out, zipfile.ZipFile(out, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
             for name, value in {"format_version": FORMAT_VERSION, **members}.items():
                 if not isinstance(value, Stack):
                     value = np.asarray(value, order="C")
@@ -288,6 +287,9 @@ def _write_container(path, **members) -> None:
                         _write_stack(fh, name, value)
                     else:
                         fh.write(memoryview(value).cast("B"))
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives a new file, not mkstemp's 0o600
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -308,11 +310,6 @@ def save_marginals(path, window: Window, matrices: Iterable[np.ndarray]) -> None
         anchors=np.array(anchors, dtype=np.int64).reshape(-1, 2),
         matrices=Stack((len(anchors), dim, dim), np.complex128, matrices),
     )
-
-
-def save_state(state: DensityOperator, path) -> None:
-    """Write a global or reconstructed state: ``local_dim``, ``region`` (n, 2) and ``matrix``."""
-    _write_container(path, local_dim=LOCAL_DIM, region=np.array(state.region), matrix=state.matrix)
 
 
 _NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}

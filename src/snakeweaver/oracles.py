@@ -316,16 +316,6 @@ def ghz_row_source(window: Window):
     return MarginalSet.from_global(state, window), state
 
 
-def depolarization_anchor(anchors, anchor, eps: float) -> Vertex:
-    """``anchor`` as a vertex, after checking that it is one of ``anchors`` and that ``eps`` lies in [0, 1]."""
-    anchor = as_vertex(anchor)
-    if anchor not in anchors:
-        raise GeometryError(f"{anchor} is not a cluster anchor of the window; its anchors are {list(anchors)}")
-    if not 0 <= eps <= 1:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
-    return anchor
-
-
 def depolarize(op: DensityOperator, eps: float) -> DensityOperator:
     """(1-eps) rho + eps I/D."""
     mixed = (1.0 - eps) * op.matrix + eps * np.eye(op.dim) / op.dim
@@ -333,8 +323,12 @@ def depolarize(op: DensityOperator, eps: float) -> DensityOperator:
 
 
 def depolarize_marginal(ms: MarginalSet, anchor, eps: float) -> MarginalSet:
-    """Replace one stored marginal by (1-eps) rho + eps I/D, breaking consistency locally."""
-    anchor = depolarization_anchor(ms.anchors(), anchor, eps)
+    """Replace the marginal at the set's ``anchor`` by (1-eps) rho + eps I/D, 0 <= eps <= 1, breaking consistency."""
+    anchor = as_vertex(anchor)
+    if anchor not in ms.marginals:
+        raise GeometryError(f"{anchor} is not a cluster anchor of the window; its anchors are {list(ms.anchors())}")
+    if not 0 <= eps <= 1:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
     margs = dict(ms.marginals)
     margs[anchor] = depolarize(margs[anchor], eps)
     return MarginalSet(ms.window, margs)

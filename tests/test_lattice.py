@@ -1,6 +1,7 @@
 """Geometry layer: clusters, adjacency, rotation, canonical ordering, block paths."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -91,6 +92,21 @@ def test_block_path_validation():
         validate_block_path([((0, 0),), ((5, 5),)])  # not adjacent
     with pytest.raises(GeometryError):
         validate_block_path([])
+
+
+def test_block_path_validation_grows_the_neighborhood_block_by_block():
+    path = site_path([(x, y) for x in range(40) for y in range(40)])
+    start = time.perf_counter()
+    assert validate_block_path(path) == path
+    # about 0.01 s; recomputing the neighborhood of every block so far took about 5 s
+    assert time.perf_counter() - start < 0.5
+    for blocks, message in (
+        ([((0, 0),), ()], "block 1 is empty"),
+        ([((0, 0),), ((1, 0),), ((1, 0), (2, 0))], "block 2 overlaps an earlier block"),
+        ([((0, 0),), ((1, 0),), ((3, 0),)], "block 2 is not adjacent to the blocks before it"),
+    ):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            validate_block_path(blocks)
 
 
 def test_site_path_and_column_blocks():

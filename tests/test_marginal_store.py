@@ -1,5 +1,7 @@
 """Marginal sets: condition tables, consistency/Markov checks, derived marginals, file format."""
 
+import os
+import stat
 import tracemalloc
 import zipfile
 from itertools import combinations
@@ -343,6 +345,22 @@ def test_a_stack_that_breaks_its_declaration_is_refused_and_leaves_no_file(array
     with pytest.raises(ValueError, match="'stack'"):
         _write_container(path, stack=Stack((2, 2, 2), np.float64, iter(arrays)))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_temporary_file_left_by_a_killed_write_blocks_no_later_write(tmp_path):
+    # a write killed before its rename leaves its temporary sibling; one named as this process would name it
+    # stands in for it
+    path, ms = tmp_path / "stale.npz", gen_row_markov(Window(3, 3), seed=1).marginal_set()
+    stale = tmp_path / f".stale.npz.{os.getpid()}.tmp"
+    stale.write_bytes(b"a killed write")
+    ms.save(path)
+    assert np.array_equal(MarginalSet.load(path).marginals[(2, 0)].matrix, ms.marginals[(2, 0)].matrix)
+    assert stale.read_bytes() == b"a killed write"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, path.name]
+    # the file gets the mode a new file gets from open(), not that of a private temporary file
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 def test_a_stack_is_written_as_its_stacked_array(tmp_path):

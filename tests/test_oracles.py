@@ -26,6 +26,7 @@ from snakeweaver.oracles import (
     RowMarkovSource,
     StabilizerState,
     brute_force_maxent,
+    depolarize_marginal,
     gen_product,
     gen_qmc_triple,
     gen_repetition_rows,
@@ -149,6 +150,29 @@ def test_ghz_row_marginals_fail():
     ms, state = ghz_row_source(Window(3, 3))
     assert not check_markov_conditions(ms, tol=1e-8).passed
     assert entropy(state) == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "window,anchor,eps,error",
+    [
+        (Window(4, 3), (0, 0), 1e-3, GeometryError),
+        (Window(3, 3), (3, 0), 1e-3, GeometryError),
+        (Window(3, 3), (2, 0), 2.0, ValueError),
+        (Window(3, 3), (2, 0), -0.5, ValueError),
+    ],
+    ids=["a-site-not-an-anchor", "a-cluster-outside-the-window", "eps-above-1", "eps-below-0"],
+)
+def test_depolarize_marginal_rejects_bad_input(window, anchor, eps, error):
+    ms = gen_row_markov(window).marginal_set()
+    with pytest.raises(error) as exc:
+        depolarize_marginal(ms, anchor, eps)
+    assert ("cluster anchor" if error is GeometryError else "eps must lie in [0, 1]") in str(exc.value)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_depolarize_marginal_accepts_the_ends_of_eps(eps):
+    ms = depolarize_marginal(gen_row_markov(Window(3, 3)).marginal_set(), (2, 0), eps)
+    assert check_local_consistency(ms).passed and check_markov_conditions(ms).passed
 
 
 def test_gf2_rank():
