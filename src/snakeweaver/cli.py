@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 a check failed, 2 unusable input or an OS-level I/O
 failure (such as an output path that cannot be written), 3 ``reconstruct``'s
 resource guard.
 
-The outputs are the marginal file that ``generate`` writes and the JSON
-reports of every command.  A command that fails leaves no partial marginal
+The outputs are the marginal file that ``generate`` writes and, under
+``--json``, the JSON report that every command prints to stdout (``--json >
+PATH`` keeps it).  A command that fails leaves no partial marginal
 file: it is written to a temporary sibling and renamed onto its path once
 complete, so a failed write leaves whatever stood at the path as it was.
 ``generate`` writes it one cluster at a time, as each is built.  The other
@@ -19,11 +20,11 @@ any report is written, so a file refused at its last cluster leaves no
 report; input refused by the checks still gets its ``checks`` report, with
 no entropy, before exit 1.  ``reconstruct`` continues only when its checks
 pass at ``--tol-consistency`` and ``--tol-cmi``; to rebuild failing input,
-raise them past any residual (a trace distance is at most 1, a cluster CMI
-at most 10 bits).  It refuses a window whose dense state is past the guard
+raise them past any residual: ``--tol-consistency 2 --tol-cmi 20`` (a trace
+distance is at most 1, but a computed one can round past it; a cluster CMI
+is at most 10 bits).  It refuses a window whose dense state is past the guard
 from the file's header, before any cluster is read, so it exits 3 even where
-the checks would fail; ``entropy`` takes any window.  A report path that
-names the input file is refused before any file is created or changed.
+the checks would fail; ``entropy`` takes any window.
 
 BLAS threads are capped by the BLAS library's own environment variables,
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, set
@@ -67,8 +68,8 @@ SCHEMA_VERSION = 6
 def _add_report_options(parser: argparse.ArgumentParser) -> None:
     """Options of the commands that read a marginal file and report on it."""
     parser.add_argument("file")
-    parser.add_argument("--report", metavar="PATH", help="also write the JSON report to this path")
-    parser.add_argument("--json", action="store_true", help="print the machine-readable report to stdout")
+    parser.add_argument("--json", action="store_true",
+                        help="print the machine-readable report to stdout instead of the summary")
 
 
 def _parse_tolerance(text: str) -> float:
@@ -102,40 +103,23 @@ def _add_tolerances(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, type=_parse_tolerance, default=1e-8, help=f"{what} (default 1e-8)")
 
 
-def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file: the same resolved path, or one file under two names (a hard link)."""
-    if os.path.realpath(a) == os.path.realpath(b):
-        return True
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # one of them does not exist yet
-        return False
-
-
 def _probe_output(args) -> None:
-    """Refuse a report path that names the input file, then open the output path (``generate``'s ``--out``, or
-    the ``--report`` of the others) for appending and remove what that created, so a clobbering or unwritable
-    output fails before any work."""
-    flag, path = ("--out", args.out) if "out" in args else ("--report", args.report)
-    if not path:
+    """Open ``generate``'s ``--out`` for appending and remove what that created, so an unwritable path fails before
+    any cluster is built."""
+    if "out" not in args:
         return
-    if "file" in args and _same_file(args.file, path):
-        raise FileExistsError(f"the input file and {flag} both name {path}")
-    existed = os.path.lexists(path)
-    open(path, "ab").close()
+    existed = os.path.lexists(args.out)
+    open(args.out, "ab").close()
     if not existed:
-        os.remove(path)
+        os.remove(args.out)
 
 
 def _emit(args, payload: dict) -> None:
-    """Write ``payload`` with the process's peak resident set so far, ``peak_rss_mb`` (``ru_maxrss``, kB on Linux)."""
-    payload["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    text = json.dumps(payload, indent=2)
-    if getattr(args, "report", None):
-        with open(args.report, "w") as fh:
-            fh.write(text)
+    """Print ``payload`` under ``--json``, with the process's peak resident set so far, ``peak_rss_mb``
+    (``ru_maxrss``, kB on Linux)."""
     if args.json:
-        print(text)
+        payload["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(json.dumps(payload, indent=2))
 
 
 def _report_payload(command: str, args, reports: dict, extra: dict | None = None) -> dict:
@@ -305,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="check every overlapping cluster pair and the Markov conditions, rebuild the global state by row "
         "merges, take its entropy by the certified row chain rule (exact spectrum when a step's bound exceeds "
         "--tol-reconstruction), compare with the formula; the dense state is formed only for that exact path, "
-        "failing checks stop it (--tol-consistency 1 --tol-cmi 10 pass any residual, so they rebuild failing "
-        "input), and a window past the dense guard is refused (`snakeweaver entropy` gives its formula)",
+        "failing checks stop it (--tol-consistency 2 --tol-cmi 20 pass any residual, so they rebuild "
+        "failing input), and a window past the dense guard is refused (`snakeweaver entropy` gives its formula)",
     )
     p.add_argument(
         "--tol-reconstruction",

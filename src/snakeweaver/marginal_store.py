@@ -7,24 +7,24 @@ uncompressed ``.npz`` container, read with ``allow_pickle=False``, of the
 int64 members ``format_version`` (2), ``window`` (width, height),
 ``local_dim`` and ``anchors`` (k, 2) in canonical order, and ``matrices``
 (k, D, D) complex128 with D = 2 ** 9 = 512.  ``local_dim`` is always
-``LOCAL_DIM`` (2): writers emit it, and ``MarginalSet.load`` refuses any
+``LOCAL_DIM`` (2): the writer emits it, and ``MarginalSet.load`` refuses any
 other value before it opens ``anchors`` or ``matrices``.  Readers ignore
 members they do not know, and refuse a member from its ``.npy`` header,
 before any of its data is read, when the header declares another dtype or
 shape; ``anchors`` must declare one row per cluster of the window.
 
-``matrices`` is written and read as a stream.  A writer sends each cluster's
-matrix to the file as it is produced, and ``MarginalReader`` reads, validates
-and hands on one cluster at a time, in the file's anchor order, which need not
-be canonical; so each holds one cluster at a time.  ``MarginalSet.load`` is
-that reader collected into a set.  The checks take one cluster at a time too:
-``ConsistencyCheck`` and ``MarkovCheck`` are what ``check_local_consistency``
-and ``check_markov_conditions`` run over a set, and ``RegionEntropies`` keeps
-the entropies of regions listed beforehand from their first parents, so a
-command can check and evaluate a file in the reader's one pass.  A file is
-written to a temporary sibling and renamed onto its path once complete, so a
-write that fails leaves no file, and whatever stood at the path stays as it
-was.
+``matrices`` is written and read as a stream.  ``save_marginals``, the one
+writer, sends each cluster's matrix to the file as it is produced, and
+``MarginalReader`` reads, validates and hands on one cluster at a time, in
+the file's anchor order, which need not be canonical; so each holds one
+cluster at a time.  ``MarginalSet.load`` is that reader collected into a set.
+The checks take one cluster at a time too: ``ConsistencyCheck`` and
+``MarkovCheck`` are what ``check_local_consistency`` and
+``check_markov_conditions`` run over a set, and ``RegionEntropies`` keeps the
+entropies of regions listed beforehand from their first parents, so a command
+can check and evaluate a file in the reader's one pass.  A file is written to
+a temporary sibling and renamed onto its path once complete, so a write that
+fails leaves no file, and whatever stood at the path stays as it was.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import tempfile
 import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -234,59 +234,45 @@ def _region_json(region: Region) -> list:
     return [[x, y] for x, y in region]
 
 
-class Stack(NamedTuple):
-    """A stacked member: ``shape[0]`` arrays of shape ``shape[1:]`` and ``dtype``, in the order ``arrays`` yields."""
+def save_marginals(path, window: Window, matrices: Iterable[np.ndarray]) -> None:
+    """Write the marginal file of ``window`` from ``matrices``, one per 3x3 cluster in canonical anchor order.
 
-    shape: tuple
-    dtype: type
-    arrays: Iterable[np.ndarray]
-
-
-def _write_stack(fh, name: str, stack: Stack) -> None:
-    """Write each array of ``stack`` as it is produced, after checking its shape and dtype, then the count."""
-    count, shape, dtype = stack.shape[0], tuple(stack.shape[1:]), np.dtype(stack.dtype)
-    written = 0
-    for a in stack.arrays:
-        a = np.asarray(a, order="C")
-        if written == count:
-            raise ValueError(f"member {name!r} declares {count} arrays, got more")
-        if a.shape != shape or a.dtype != dtype:
-            raise ValueError(
-                f"member {name!r} stacks {dtype} arrays of shape {shape}, got {a.dtype} of shape {a.shape}"
-            )
-        fh.write(memoryview(a).cast("B"))
-        written += 1
-        del a  # so that the next array is built with this one released
-    if written != count:
-        raise ValueError(f"member {name!r} declares {count} arrays, got {written}")
-
-
-def _write_container(path, **members) -> None:
-    """Write ``members`` and the format version as an uncompressed .npz container at exactly ``path``.
-
-    The bytes are those ``np.savez`` writes for the same C-ordered members.  A member given as a ``Stack`` is the
-    stack of its arrays, each written right after the member's ``.npy`` header as it is produced, so neither the
-    stack nor a chunk copy of it is formed; too few or too many arrays, or one of another shape or dtype, raise
-    ValueError.  The container is written to a temporary sibling of ``path``, under a name no other file has, and
-    renamed onto it once complete; on any exception the temporary file is removed and ``path`` is left as it was.
+    The bytes are those ``np.savez`` writes for the same members.  Each matrix is written right after the
+    ``matrices`` header as it is produced, so a generator that builds them holds one cluster at a time and no stack
+    of them is formed; too few or too many matrices, or one that is not a (512, 512) complex128 array, raise
+    ValueError.  The file is written to a temporary sibling of ``path``, under a name no other file has, and renamed
+    onto it once complete; on any exception the temporary file is removed and ``path`` is left as it was.
     """
+    anchors = window.cluster_anchors()
+    count, shape = len(anchors), (LOCAL_DIM ** 9,) * 2
+    clusters = f"a {window.width}x{window.height} window has {count} 3x3 clusters"
+    members = {"format_version": FORMAT_VERSION, "window": np.array([window.width, window.height]),
+               "local_dim": LOCAL_DIM, "anchors": np.array(anchors, dtype=np.int64).reshape(-1, 2)}
     head, tail = os.path.split(os.fspath(path))
     # a unique name, so a temporary file that a killed write left behind blocks no later write
     fd, tmp = tempfile.mkstemp(dir=head, prefix=f".{tail}.", suffix=".tmp")
     try:
         with open(fd, "wb") as out, zipfile.ZipFile(out, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-            for name, value in {"format_version": FORMAT_VERSION, **members}.items():
-                if not isinstance(value, Stack):
-                    value = np.asarray(value, order="C")
-                shape = tuple(map(int, value.shape))
-                header = {"descr": np.lib.format.dtype_to_descr(np.dtype(value.dtype)), "fortran_order": False,
-                          "shape": shape}
+            for name, value in members.items():
                 with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                    np.lib.format.write_array_header_1_0(fh, header)
-                    if isinstance(value, Stack):
-                        _write_stack(fh, name, value)
-                    else:
-                        fh.write(memoryview(value).cast("B"))
+                    np.lib.format.write_array(fh, np.asarray(value))
+            with zf.open("matrices.npy", "w", force_zip64=True) as fh:
+                descr = np.lib.format.dtype_to_descr(np.dtype(np.complex128))
+                np.lib.format.write_array_header_1_0(fh, {"descr": descr, "fortran_order": False,
+                                                          "shape": (count, *shape)})
+                written = 0
+                for m in matrices:
+                    m = np.asarray(m, order="C")
+                    if written == count:
+                        raise ValueError(f"{clusters}, got more matrices")
+                    if m.shape != shape or m.dtype != np.complex128:
+                        raise ValueError(f"a cluster marginal is a complex128 matrix of shape {shape}, "
+                                         f"got {m.dtype} of shape {m.shape}")
+                    fh.write(memoryview(m).cast("B"))
+                    written += 1
+                    del m  # so that the next matrix is built with this one released
+                if written != count:
+                    raise ValueError(f"{clusters}, got {written} matrices")
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives a new file, not mkstemp's 0o600
@@ -294,22 +280,6 @@ def _write_container(path, **members) -> None:
     except BaseException:
         os.remove(tmp)
         raise
-
-
-def save_marginals(path, window: Window, matrices: Iterable[np.ndarray]) -> None:
-    """Write the marginal file of ``window`` from ``matrices``, one per 3x3 cluster in canonical anchor order.
-
-    Each matrix is written as it is produced, so a generator that builds them holds one cluster at a time.
-    """
-    anchors = window.cluster_anchors()
-    dim = LOCAL_DIM ** 9
-    _write_container(
-        path,
-        window=np.array([window.width, window.height]),
-        local_dim=LOCAL_DIM,
-        anchors=np.array(anchors, dtype=np.int64).reshape(-1, 2),
-        matrices=Stack((len(anchors), dim, dim), np.complex128, matrices),
-    )
 
 
 _NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}

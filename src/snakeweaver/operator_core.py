@@ -351,27 +351,32 @@ def pinv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (u * inv) @ u.conj().T
 
 
+def med_conditioning(path):
+    """The (block, cond) pairs of the Markov entropy decomposition over a block path, in path order.
+
+    ``cond`` is the intersection of the block's graph neighborhood with every
+    block before it, so the first block's is empty and, by the growth rule,
+    no later one's is.
+    """
+    seen: set = set()
+    for block in validate_block_path(path):
+        yield block, tuple(v for v in region_neighborhood(block) if v in seen)
+        seen.update(block)
+
+
 def med(provider, path):
     """Markov entropy decomposition over a block path, in bits.
 
-    Adds S(block_k | N(block_k) & V_{k-1}) per block, where the conditioning set
-    is the intersection of the block's graph neighborhood with everything seen
-    so far; the first block contributes its plain entropy.  ``provider`` may be
-    a global DensityOperator, a MarginalSet, a generator source, or a
-    stabilizer state; it only ever gets asked, through ``region_entropy``, for
-    bounded nonempty regions around each block.  Upper-bounds the entropy of
-    any state with these marginals.
+    Adds S(block_k | N(block_k) & V_{k-1}) per block, over the pairs of
+    ``med_conditioning``; the first block contributes its plain entropy.
+    ``provider`` may be a global DensityOperator, a MarginalSet, a generator
+    source, or a stabilizer state; it only ever gets asked, through
+    ``region_entropy``, for bounded nonempty regions around each block.
+    Upper-bounds the entropy of any state with these marginals.
     """
-    blocks = validate_block_path(path)
     total = 0
-    seen: set = set()
-    for k, block in enumerate(blocks):
-        if k == 0:
-            total = total + provider.region_entropy(block)
-        else:
-            cond = tuple(v for v in region_neighborhood(block) if v in seen)
-            s_joint = provider.region_entropy(region_union(block, cond))
-            s_cond = provider.region_entropy(cond) if cond else 0
-            total = total + (s_joint - s_cond)
-        seen.update(block)
+    for block, cond in med_conditioning(path):
+        s_joint = provider.region_entropy(region_union(block, cond))
+        s_cond = provider.region_entropy(cond) if cond else 0
+        total = total + (s_joint - s_cond)
     return total

@@ -13,7 +13,6 @@ from .lattice import (
     Region,
     as_region,
     cluster_region,
-    region_neighborhood,
     region_union,
     site_path,
     validate_block_path,
@@ -31,6 +30,7 @@ from .operator_core import (
     cmi,
     entropy,
     med,
+    med_conditioning,
     partial_trace,
 )
 from .snakes import SnakeSpec, build_snake
@@ -253,9 +253,7 @@ def uniqueness_certificate(
         raise GeometryError("states must share a region")
     blocks = validate_block_path(path)
     report = CheckReport()
-    seen: set = set()
-    for k, block in enumerate(blocks):
-        cond = tuple(v for v in region_neighborhood(block) if v in seen)
+    for k, (block, cond) in enumerate(med_conditioning(blocks)):
         region = region_union(block, cond)
         report.add_distance(
             f"marginal-match:{k}",
@@ -265,7 +263,6 @@ def uniqueness_certificate(
             tol,
             region=_region_json(region),
         )
-        seen.update(block)
 
     s_rho, s_sigma = entropy(rho), entropy(sigma)
     m_rho = med(rho, blocks)

@@ -106,7 +106,7 @@ def test_criterion_1_markov_verification(tmp_path):
             worst_cmi = max(worst_cmi, markov.max_residual())
             worst_cons = max(worst_cons, cons.max_residual())
     # the same data through the full file interface, one file per orientation
-    for orientation, name in (("rows", "row.json"), ("columns", "col.json")):
+    for orientation, name in (("rows", "row.npz"), ("columns", "col.npz")):
         path = tmp_path / name
         gen_row_markov(Window(4, 4), seed=0, orientation=orientation).marginal_set().save(path)
         code = cli_main(["check", str(path), "--tol-cmi", "1e-9", "--tol-consistency", "1e-10"])
@@ -333,7 +333,7 @@ def test_criterion_8_negative_controls(tmp_path):
     ms, _ = ghz_row_source(Window(3, 3))
     rep = check_markov_conditions(ms, tol=1e-8)
     ghz_worst = max((r.residual for r in rep.failures()), default=0.0)
-    path = tmp_path / "ghz.json"
+    path = tmp_path / "ghz.npz"
     ms.save(path)
     ghz_exit = cli_main(["check", str(path)])
 

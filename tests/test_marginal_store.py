@@ -16,12 +16,11 @@ from snakeweaver.marginal_store import (
     MarginalFileError,
     MarginalSet,
     MissingMarginalError,
-    Stack,
     Window,
-    _write_container,
     c_m_conditions,
     check_local_consistency,
     check_markov_conditions,
+    save_marginals,
 )
 from snakeweaver.operator_core import DensityOperator, _eigvalsh as eigvalsh, cmi, partial_trace, trace_distance
 from snakeweaver.oracles import (
@@ -265,7 +264,7 @@ def test_file_round_trip_is_bit_exact(tmp_path):
         mat.imag[...] = -0.0  # signed zeros survive only a bit-exact format
         margs[a] = DensityOperator(op.region, mat)
     ms = MarginalSet(ms.window, margs)
-    path = tmp_path / "m.json"
+    path = tmp_path / "m.npz"
     ms.save(path)
     assert path.exists()  # written at exactly this path, with no suffix added
     # the writer's headers are 1.0; numpy writes 2.0 for a header past 64 KiB, and the reader takes both
@@ -332,18 +331,18 @@ def test_file_parser_rejections(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "arrays",
+    "matrices",
     [
-        [np.zeros((2, 2))],  # too short
-        [np.zeros((2, 2))] * 3,  # too long
-        [np.zeros((2, 2)), np.zeros((2, 3))],
-        [np.zeros((2, 2)), np.zeros((2, 2), dtype=np.float32)],
+        lambda m: [m],  # too few for the two clusters of a 4x3 window
+        lambda m: [m] * 3,  # too many
+        lambda m: [m, m[:, :-1]],
+        lambda m: [m, m.astype(np.complex64)],
     ],
+    ids=["too-few", "too-many", "shape", "dtype"],
 )
-def test_a_stack_that_breaks_its_declaration_is_refused_and_leaves_no_file(arrays, tmp_path):
-    path = tmp_path / "s.npz"
-    with pytest.raises(ValueError, match="'stack'"):
-        _write_container(path, stack=Stack((2, 2, 2), np.float64, iter(arrays)))
+def test_save_marginals_refuses_wrong_matrices_and_leaves_no_file(matrices, tmp_path):
+    with pytest.raises(ValueError, match="got"):
+        save_marginals(tmp_path / "m.npz", Window(4, 3), iter(matrices(np.eye(512, dtype=np.complex128) / 512)))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -363,11 +362,13 @@ def test_a_temporary_file_left_by_a_killed_write_blocks_no_later_write(tmp_path)
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
-def test_a_stack_is_written_as_its_stacked_array(tmp_path):
-    arrays = [np.full((2, 3), i, dtype=np.complex128) for i in range(4)]
-    _write_container(tmp_path / "s.npz", stack=Stack((4, 2, 3), np.complex128, iter(arrays)))
-    np.savez(tmp_path / "ref.npz", format_version=2, stack=np.stack(arrays))
-    assert (tmp_path / "s.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
+def test_save_marginals_writes_the_bytes_of_np_savez(tmp_path):
+    window = Window(4, 3)
+    matrices = [np.full((512, 512), i, dtype=np.complex128) for i in range(2)]
+    save_marginals(tmp_path / "m.npz", window, iter(matrices))
+    np.savez(tmp_path / "ref.npz", format_version=2, window=np.array([4, 3]), local_dim=2,
+             anchors=np.array(window.cluster_anchors()), matrices=np.stack(matrices))
+    assert (tmp_path / "m.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
 
 
 def _crafted_container(path, crafted: str, descr: str, shape: tuple, **members) -> None:
