@@ -104,13 +104,15 @@ def _add_tolerances(parser: argparse.ArgumentParser) -> None:
 
 
 def _probe_output(args) -> None:
-    """Open ``generate``'s ``--out`` for appending and remove what that created, so an unwritable path fails before
-    any cluster is built."""
+    """Open ``generate``'s ``--out`` for writing, so an unwritable path fails before any cluster is built, and leave
+    no file the probe created: an existing path, a dangling link included, is opened without creating anything, and
+    a new one is created and removed."""
     if "out" not in args:
         return
-    existed = os.path.lexists(args.out)
-    open(args.out, "ab").close()
-    if not existed:
+    if os.path.lexists(args.out):
+        os.close(os.open(args.out, os.O_WRONLY | os.O_APPEND))
+    else:
+        open(args.out, "xb").close()
         os.remove(args.out)
 
 
@@ -162,11 +164,7 @@ def cmd_check(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     with MarginalReader(args.file) as reader:
-        try:
-            reader.window.check_dense_guard()
-        except DimensionGuardError as exc:
-            print(f"error: {exc} (`snakeweaver entropy` gives the formula of a big window)", file=sys.stderr)
-            return EXIT_GUARD
+        reader.window.check_dense_guard()
         consistency = ConsistencyCheck(reader.window, args.tol_consistency, full_pairwise=True)
         markov = MarkovCheck(reader.window, args.tol_cmi)
         marginals = {}
@@ -339,8 +337,8 @@ def main(argv=None) -> int:
     except (MarginalFileError, OSError) as exc:  # any OS-level I/O failure; open's names the path it could not write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except DimensionGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except DimensionGuardError as exc:  # only reconstruct's header check reaches here: generate catches ValueError
+        print(f"error: {exc} (`snakeweaver entropy` gives the formula of a big window)", file=sys.stderr)
         return EXIT_GUARD
 
 

@@ -13,9 +13,9 @@ not symmetrized: one scales its input's deviation from Hermitian by up to
 when the imaginary part is exactly zero.  Entropies and CMIs are in bits.
 
 Region entropies have one protocol: a provider answers ``region_entropy(region)``
-for a nonempty region.  ``DensityOperator``, ``MarginalSet`` and the oracle
-sources (``RowMarkovSource``, ``ProductSource``, ``StabilizerState``) do; ``cmi``
-and ``med`` read nothing else.  A ``DensityOperator`` computes each region's
+for a nonempty region.  ``DensityOperator``, ``MarginalSet``, ``RegionEntropies``
+and the oracle sources (``RowMarkovSource``, ``ProductSource``,
+``StabilizerState``) do; ``cmi`` and ``med`` read nothing else.  A ``DensityOperator`` computes each region's
 entropy once, as it computes its spectrum once.
 
 A trace distance compared with a tolerance has one rule,

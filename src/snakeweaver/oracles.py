@@ -122,16 +122,11 @@ class ClassicalChain:
     def length(self) -> int:
         return len(self.transitions) + 1
 
-    def start_distribution(self, c: int) -> np.ndarray:
-        p = self.initial
-        for t in self.transitions[:c]:
-            p = p @ t
-        return p
-
     def joint(self, a: int, b: int) -> np.ndarray:
         """Joint probability tensor over consecutive positions a..b inclusive."""
-        p = self.start_distribution(a)
-        out = p
+        out = self.initial
+        for t in self.transitions[:a]:
+            out = out @ t
         for c in range(a, b):
             out = out[..., :, None] * self.transitions[c][(None,) * (out.ndim - 1)]
         return out.reshape((LOCAL_DIM,) * (b - a + 1))
@@ -298,8 +293,9 @@ def gen_product(window: Window, site_states: dict | None = None, seed=0) -> Prod
     return ProductSource(window, site_states, seed)
 
 
-def ghz_row_state(window: Window) -> DensityOperator:
-    """Qubit global state with a coherent GHZ across the top row and |0> on every other site, under the dense guard.
+def ghz_row_source(window: Window):
+    """(marginal_set, global_state) of the qubit state with a coherent GHZ across the top row and |0> on every other
+    site, under the dense guard.
 
     With width 3 the full GHZ row sits inside every cluster, so the Markov checks must fail.
     """
@@ -307,19 +303,8 @@ def ghz_row_state(window: Window) -> DensityOperator:
     row = window.height - 1
     row_sites = as_region([(x, row) for x in range(window.width)])
     rest = as_region([v for v in window.sites() if v[1] != row])
-    return product_operator([ghz_state(row_sites), basis_state(rest, [0] * len(rest))])
-
-
-def ghz_row_source(window: Window):
-    """(marginal_set, global_state) of ``ghz_row_state``."""
-    state = ghz_row_state(window)
+    state = product_operator([ghz_state(row_sites), basis_state(rest, [0] * len(rest))])
     return MarginalSet.from_global(state, window), state
-
-
-def depolarize(op: DensityOperator, eps: float) -> DensityOperator:
-    """(1-eps) rho + eps I/D."""
-    mixed = (1.0 - eps) * op.matrix + eps * np.eye(op.dim) / op.dim
-    return DensityOperator(op.region, mixed)
 
 
 def depolarize_marginal(ms: MarginalSet, anchor, eps: float) -> MarginalSet:
@@ -330,7 +315,8 @@ def depolarize_marginal(ms: MarginalSet, anchor, eps: float) -> MarginalSet:
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     margs = dict(ms.marginals)
-    margs[anchor] = depolarize(margs[anchor], eps)
+    op = margs[anchor]
+    margs[anchor] = DensityOperator(op.region, (1.0 - eps) * op.matrix + eps * np.eye(op.dim) / op.dim)
     return MarginalSet(ms.window, margs)
 
 

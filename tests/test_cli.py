@@ -598,6 +598,17 @@ def test_an_unwritable_output_path_exits_2_with_one_error_line(tmp_path, capsys,
     assert ran == [] and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("height", [2, 3])
+def test_generate_onto_a_dangling_link_exits_2_and_creates_no_file(height, tmp_path, capsys):
+    # the probe opens an existing path without creating anything: a link to a missing target stays dangling
+    link = tmp_path / "link.npz"
+    link.symlink_to(tmp_path / "target.npz")
+    assert run("generate", "--kind", "product", "--width", "3", "--height", str(height), "--out", str(link)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(link) in err
+    assert list(tmp_path.iterdir()) == [link] and link.is_symlink()
+
+
 def test_a_crafted_huge_window_is_refused_at_once_with_a_short_error(tmp_path, capsys):
     # 996,004 clusters declared, none given: refused from the count, before any anchor list is built
     path = tmp_path / "huge.npz"

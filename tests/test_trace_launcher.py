@@ -2,6 +2,8 @@
 
 ``perfbench/tracer.py`` resolves every name it traces when it starts, so a
 rename or deletion of a traced function fails here as well as in the benchmark.
+It wraps a function only in the modules loaded once ``import snakeweaver``
+returns, so the package must load them all.
 """
 
 import collections
@@ -26,18 +28,48 @@ def row_file(tmp_path_factory):
     return path
 
 
-def _spans(tmp_path, *argv) -> list:
-    spans = tmp_path / "spans.json"
+def _run(*argv) -> subprocess.CompletedProcess:
     pythonpath = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), "--", *argv],
+        [sys.executable, *argv],
         env=dict(os.environ, PYTHONPATH=pythonpath),
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _spans(tmp_path, *argv) -> list:
+    spans = tmp_path / "spans.json"
+    _run(str(ROOT / "perfbench" / "tracer.py"), str(spans), "--", *argv)
     return json.loads(spans.read_text())["spans"]
+
+
+UNWRAPPED_TARGETS = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+tracer.Tracer().install()
+unwrapped = []
+for module, attr, *_ in tracer.TARGETS:
+    owner = importlib.import_module(f"snakeweaver.{module}")
+    *cls, name = attr.split(".")
+    if cls:
+        owner = getattr(owner, cls[0])
+    fn = vars(owner)[name]  # a classmethod's wrapper is its __func__
+    if not hasattr(getattr(fn, "__func__", fn), "__wrapped__"):
+        unwrapped.append(f"{module}.{attr}")
+print(json.dumps(unwrapped))
+"""
+
+
+def test_the_tracer_wraps_every_target_where_it_is_defined():
+    # a module that ``import snakeweaver`` leaves unloaded keeps its own functions unwrapped, so every call to
+    # them goes uncounted and its per-layer metrics read 0
+    proc = _run("-c", UNWRAPPED_TARGETS, str(ROOT / "perfbench"))
+    assert json.loads(proc.stdout) == []
 
 
 @pytest.mark.parametrize("command", ["check", "reconstruct"])

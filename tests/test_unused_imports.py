@@ -4,19 +4,21 @@ UPPER_CASE constant and every function, method and property in ``src/`` is read 
 that need the exact value read ``trace_distance`` in ``src/``, the local dimension is one constant of
 ``operator_core`` that nothing in ``src/`` sets, no name or string in ``src/`` speaks of a second entropy unit, the
 CLI reads no ``load``, so ``MarginalReader`` is its one read
-path for marginal files, and the third-party modules ``src/`` imports are exactly the dependencies ``pyproject.toml``
-declares."""
+path for marginal files, the third-party modules ``src/`` imports are exactly the dependencies ``pyproject.toml``
+declares, and the package ``__init__`` loads every module but ``cli`` and re-exports no name."""
 
 import ast
 import builtins
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# a package's __init__ imports names to re-export them
+# the package __init__ imports its modules to load them, which reads none of them; its own lint is below
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 DUNDER = re.compile(r"__\w+__\Z")
@@ -300,7 +302,7 @@ def test_every_exception_class_in_src_is_raised():
 
 def test_every_function_in_src_is_referenced():
     defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
-    # a re-export in a package's __init__ is not a use
+    # a re-export in a package's __init__ would not be a use
     readers = [p.read_text() for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
                if p.name != "__init__.py"]
     assert unreferenced_functions(defining, readers) == []
@@ -334,3 +336,50 @@ def test_every_entropy_in_src_is_in_bits():
     # conversion factor would give one command two units again
     defining = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
     assert unit_conversions(defining) == []
+
+
+def package_init_violations(source: str) -> list[str]:
+    """Each top-level statement of a package ``__init__`` other than its docstring, a ``from . import`` of modules
+    and the ``__version__`` assignment, as ``line:source``."""
+    tree = ast.parse(source)
+    found = []
+    for i, node in enumerate(tree.body):
+        docstring = i == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        submodules = isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        version = isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__version__"]
+        if not (docstring or submodules or version):
+            found.append(f"{node.lineno}:{ast.get_source_segment(source, node)}")
+    return found
+
+
+def package_init_modules(source: str) -> list[str]:
+    """The modules a package ``__init__`` imports by ``from . import``."""
+    return sorted(alias.name for node in ast.parse(source).body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+                  for alias in node.names)
+
+
+def test_the_scan_finds_every_re_export_of_a_package_init():
+    source = ('"""Docs."""\nfrom . import a, b\nfrom .a import f\nimport os\n__version__ = "1"\n'
+              'LIMIT = 3\n"""Not a docstring."""\n')
+    assert package_init_violations(source) == ["3:from .a import f", "4:import os", "6:LIMIT = 3",
+                                               '7:"""Not a docstring."""']
+    assert package_init_modules(source) == ["a", "b"]
+
+
+def test_the_package_init_loads_every_module_but_the_cli_and_re_exports_nothing():
+    # perfbench/tracer.py wraps a function only in the modules loaded once ``import snakeweaver`` returns, so the
+    # package loads them all; every name is imported from its module, so none is bound here
+    package = ROOT / "src" / "snakeweaver"
+    source = (package / "__init__.py").read_text()
+    assert package_init_violations(source) == []
+    assert package_init_modules(source) == sorted(p.stem for p in package.glob("*.py")
+                                                  if p.stem not in ("__init__", "cli"))
+
+
+def test_the_cli_runs_as_a_module_with_warnings_as_errors():
+    # runpy warns when ``-m snakeweaver.cli`` finds the module already imported, as it would be by the package
+    pythonpath = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "snakeweaver.cli", "--help"],
+                          env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
