@@ -6,9 +6,12 @@ Exit codes: 0 success, 1 a check failed, 2 unusable input or an OS-level I/O
 failure (such as an output path that cannot be written), 3 ``reconstruct``'s
 resource guard.
 
-The outputs are the marginal file that ``generate`` writes and, under
-``--json``, the JSON report that every command prints to stdout (``--json >
-PATH`` keeps it).  A command that fails leaves no partial marginal
+The outputs are the marginal file that ``generate`` writes and the report
+that every command prints to stdout: ``schema_version``, ``command``,
+``config`` (every option it parsed but its paths and ``--json``), ``checks``
+and its values.  ``--json`` prints the report as JSON (``--json > PATH``
+keeps it); without it a summary is printed: a line per check, its first ten
+failures, and each value.  A command that fails leaves no partial marginal
 file: it is written to a temporary sibling and renamed onto its path once
 complete, so a failed write leaves whatever stood at the path as it was.
 ``generate`` writes it one cluster at a time, as each is built.  The other
@@ -62,7 +65,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_GUARD = 3
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 def _add_report_options(parser: argparse.ArgumentParser) -> None:
@@ -116,25 +119,52 @@ def _probe_output(args) -> None:
         os.remove(args.out)
 
 
-def _emit(args, payload: dict) -> None:
-    """Print ``payload`` under ``--json``, with the process's peak resident set so far, ``peak_rss_mb``
-    (``ru_maxrss``, kB on Linux)."""
-    if args.json:
-        payload["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        print(json.dumps(payload, indent=2))
+def _show(value) -> str:
+    """A report value as the summary prints it: floats to 9 decimals, a dict as its ``key value`` pairs."""
+    if isinstance(value, float):
+        return f"{value:.9f}"
+    if isinstance(value, dict):
+        return ", ".join(f"{key} {_show(item)}" for key, item in value.items())
+    return str(value)
 
 
-def _report_payload(command: str, args, reports: dict, extra: dict | None = None) -> dict:
-    config = {key: getattr(args, key) for key in ("tol_cmi", "tol_consistency") if key in args}
-    payload = {
+def _report(args, checks: dict, **values) -> int:
+    """Print the command's report and return its exit code, 0 when every check passes, else 1: under ``--json`` the
+    report itself, with the process's peak resident set so far, ``peak_rss_mb`` (``ru_maxrss``, kB on Linux), else a
+    summary of it."""
+    report = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        "checks": {name: rep.to_dict() for name, rep in reports.items()},
+        "command": args.command,
+        "config": {key: value for key, value in vars(args).items()
+                   if key not in ("command", "func", "file", "out", "json")},
+        "checks": {name: rep.to_dict() for name, rep in checks.items()},
+        **values,
     }
-    if extra:
-        payload.update(extra)
-    return payload
+    code = EXIT_OK if all(rep["passed"] for rep in report["checks"].values()) else EXIT_CHECK_FAILED
+    if args.json:
+        report["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(json.dumps(report, indent=2))
+        return code
+    for name, rep in report["checks"].items():
+        residual = max((rec["residual"] for rec in rep["records"]), default=0.0)
+        verdict = "pass" if rep["passed"] else "FAIL"
+        print(f"{name}: {len(rep['records'])} checks, max residual {residual:.3e}, {verdict}")
+    failures = [rec for rep in report["checks"].values() for rec in rep["records"] if not rec["passed"]]
+    for rec in failures[:10]:
+        print(f"  failed {rec['check_id']}: residual {rec['residual']:.3e} > {rec['tol']:.0e}")
+    for key, value in values.items():
+        if isinstance(value, list):
+            print(f"{key}:", *(f"  {_show(item)}" for item in value), sep="\n")
+        else:
+            print(f"{key}: {_show(value)}")
+    return code
+
+
+def _refuse(args, checks: dict, message: str) -> int:
+    """Report ``checks`` alone, then refuse the run with one ``error:`` line on stderr and exit code 1."""
+    _report(args, checks)
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_CHECK_FAILED
 
 
 def cmd_check(args) -> int:
@@ -142,24 +172,7 @@ def cmd_check(args) -> int:
         consistency = ConsistencyCheck(reader.window, args.tol_consistency, args.full_pairwise)
         markov = MarkovCheck(reader.window, args.tol_cmi)
         reader.feed(consistency.add, markov.add)
-    consistency, markov = consistency.report(), markov.report()
-    ok = consistency.passed and markov.passed
-    payload = _report_payload("check", args, {"consistency": consistency, "markov": markov})
-    _emit(args, payload)
-    if not args.json:
-        print(
-            f"consistency: {len(consistency.records)} checks, "
-            f"max residual {consistency.max_residual():.3e}, "
-            f"{'pass' if consistency.passed else 'FAIL'}"
-        )
-        print(
-            f"markov:      {len(markov.records)} checks, "
-            f"max residual {markov.max_residual():.3e}, "
-            f"{'pass' if markov.passed else 'FAIL'}"
-        )
-        for rec in (consistency.failures() + markov.failures())[:10]:
-            print(f"  failed {rec.check_id}: residual {rec.residual:.3e} > {rec.tol:.0e}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _report(args, {"consistency": consistency.report(), "markov": markov.report()})
 
 
 def cmd_reconstruct(args) -> int:
@@ -170,37 +183,18 @@ def cmd_reconstruct(args) -> int:
         marginals = {}
         reader.feed(consistency.add, markov.add, marginals.__setitem__)
     ms = MarginalSet(reader.window, marginals)
-    reports = {"consistency": consistency.report(), "markov": markov.report()}
-    if not all(rep.passed for rep in reports.values()):
-        _emit(args, _report_payload("reconstruct", args, reports))
-        print("error: marginals fail their checks at --tol-consistency and --tol-cmi; raise them to reconstruct "
-              "anyway", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-
+    checks = {"consistency": consistency.report(), "markov": markov.report()}
+    if not all(rep.passed for rep in checks.values()):
+        return _refuse(args, checks, "marginals fail their checks at --tol-consistency and --tol-cmi; raise them to "
+                       "reconstruct anyway")
     formula = float(max_entropy_formula(ms))
     try:
         result = reconstruct_global(ms, tol=args.tol_reconstruction)
     except SupportMismatchError as exc:  # only overlaps that disagree, so only under a loose --tol-consistency
-        _emit(args, _report_payload("reconstruct", args, reports))
-        print(f"error: cannot reconstruct: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    reports["marginal_fidelity"] = result.marginal_report
-    extra = {
-        "max_entropy_formula": formula,
-        "entropy": result.entropy,
-        "entropy_method": result.entropy_method,
-        "step_cmis": [s._asdict() for s in result.steps],
-    }
-    if not args.json:
-        print(f"reconstruction entropy: {result.entropy:.9f} ({result.entropy_method})")
-        print(f"max-entropy formula:    {formula:.9f}")
-        print(
-            f"marginal fidelity: max residual "
-            f"{result.marginal_report.max_residual():.3e}, "
-            f"{'pass' if result.marginal_report.passed else 'FAIL'}"
-        )
-    _emit(args, _report_payload("reconstruct", args, reports, extra))
-    return EXIT_OK if all(rep.passed for rep in reports.values()) else EXIT_CHECK_FAILED
+        return _refuse(args, checks, f"cannot reconstruct: {exc}")
+    checks["marginal_fidelity"] = result.marginal_report
+    return _report(args, checks, max_entropy_formula=formula, entropy=result.entropy,
+                   entropy_method=result.entropy_method, step_cmis=[s._asdict() for s in result.steps])
 
 
 def cmd_entropy(args) -> int:
@@ -211,32 +205,13 @@ def cmd_entropy(args) -> int:
         reader.feed(consistency.add, entropies.add)
     consistency = consistency.report()
     if not consistency.passed:
-        _emit(args, _report_payload("entropy", args, {"consistency": consistency}))
         rec = consistency.failures()[0]
-        print(f"error: {rec.check_id} fails: trace distance {rec.residual:.3e} > {rec.tol:.0e}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _refuse(args, {"consistency": consistency},
+                       f"{rec.check_id} fails: trace distance {rec.residual:.3e} > {rec.tol:.0e}")
     terms = max_entropy_terms(entropies, window)
-    formula = sum(t for _, t in terms)
-    med_value = row_major_med(entropies, window)
-    payload = _report_payload(
-        "entropy",
-        args,
-        {"consistency": consistency},
-        {
-            "max_entropy_formula": float(formula),
-            "row_path_med": float(med_value),
-            "terms": [{"anchor": list(a), "term": float(t)} for a, t in terms],
-        },
-    )
-    _emit(args, payload)
-    if not args.json:
-        print(f"max-entropy formula: {float(formula):.9f}")
-        print(f"row-path MED:        {float(med_value):.9f}")
-        print("per-anchor terms (nonzero):")
-        for a, t in terms:
-            if abs(t) > 1e-12:
-                print(f"  anchor ({a[0]:3d},{a[1]:3d}): {t:+.9f}")
-    return EXIT_OK
+    return _report(args, {"consistency": consistency}, max_entropy_formula=float(sum(t for _, t in terms)),
+                   row_path_med=float(row_major_med(entropies, window)),
+                   terms=[{"anchor": list(a), "term": float(t)} for a, t in terms])
 
 
 def cmd_generate(args) -> int:
@@ -256,11 +231,7 @@ def cmd_generate(args) -> int:
     except (GeometryError, StateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.json:
-        _emit(args, {"schema_version": SCHEMA_VERSION, "command": "generate"})
-    else:
-        print(f"wrote {args.kind} marginals for a {args.width}x{args.height} window to {args.out}")
-    return EXIT_OK
+    return _report(args, {}, wrote=args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="local unitaries of the row-markov and column-markov kinds (default haar)")
     p.add_argument("--seed", type=_parse_seed, default=0, help="random seed (default 0)")
     p.add_argument("--json", action="store_true",
-                   help="print a machine-readable report (schema_version, command, peak_rss_mb) instead of the banner")
+                   help="print the machine-readable report to stdout instead of the summary")
     p.set_defaults(func=cmd_generate)
 
     return parser

@@ -5,8 +5,9 @@ A marginal set needs at least one 3x3 cluster, so its window is at least 3x3.
 A marginal file (``save_marginals``, ``MarginalSet.save``) is one
 uncompressed ``.npz`` container, read with ``allow_pickle=False``, of the
 int64 members ``format_version`` (2), ``window`` (width, height),
-``local_dim`` and ``anchors`` (k, 2) in canonical order, and ``matrices``
-(k, D, D) complex128 with D = 2 ** 9 = 512.  ``local_dim`` is always
+``local_dim`` and ``anchors`` (k, 2), which the writer emits in canonical
+order and readers accept in any order, and ``matrices`` (k, D, D)
+complex128 with D = 2 ** 9 = 512.  ``local_dim`` is always
 ``LOCAL_DIM`` (2): the writer emits it, and ``MarginalSet.load`` refuses any
 other value before it opens ``anchors`` or ``matrices``.  Readers ignore
 members they do not know, and refuse a member from its ``.npy`` header,
@@ -16,8 +17,7 @@ shape; ``anchors`` must declare one row per cluster of the window.
 ``matrices`` is written and read as a stream.  ``save_marginals``, the one
 writer, sends each cluster's matrix to the file as it is produced, and
 ``MarginalReader`` reads, validates and hands on one cluster at a time, in
-the file's anchor order, which need not be canonical; so each holds one
-cluster at a time.  ``MarginalSet.load`` is that reader collected into a set.
+the file's anchor order; so each holds one cluster at a time.  ``MarginalSet.load`` is that reader collected into a set.
 The checks take one cluster at a time too: ``ConsistencyCheck`` and
 ``MarkovCheck`` are what ``check_local_consistency`` and
 ``check_markov_conditions`` run over a set, and ``RegionEntropies`` keeps the

@@ -26,7 +26,6 @@ alone is for a distance that must be shown large, which no upper bound can.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -42,8 +41,6 @@ from .lattice import (
     region_union,
     validate_block_path,
 )
-
-logger = logging.getLogger("snakeweaver.operator_core")
 
 LOCAL_DIM = 2              # levels per site: every site is a qubit
 HERMITICITY_TOL = 1e-10
@@ -150,10 +147,7 @@ class DensityOperator:
             raise StateError(
                 f"matrix shape {mat.shape} does not match 2^n = {dim} for {len(region)} sites"
             )
-        if not np.iscomplexobj(mat):
-            mat = mat.astype(np.complex128)
-        else:
-            mat = np.ascontiguousarray(mat, dtype=np.complex128)
+        mat = np.ascontiguousarray(mat, dtype=np.complex128)
         herm = _hermiticity_deviation(mat)
         object.__setattr__(self, "hermiticity_deviation", herm)
         if herm > HERMITICITY_TOL:

@@ -4,7 +4,6 @@ maximum-entropy solver used as the second route against the closed-form value.""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,8 +24,6 @@ from .operator_core import (
     _eigh,
     _transpose_in_place,
 )
-
-logger = logging.getLogger("snakeweaver.oracles")
 
 
 def _rng(seed) -> np.random.Generator:

@@ -241,7 +241,6 @@ def snake_marginal_report(
     """Compare the built snake against every fundamental cluster inside its support."""
     if state is None:
         state = build_snake(ms, spec)
-    support = set(spec.support())
     report = CheckReport()
     shapes = [(2, spec.level)]
     if spec.level == 3:
@@ -249,8 +248,6 @@ def snake_marginal_report(
     for n, m in shapes:
         for x in range(spec.v[0] + n - 1, spec.u[0] + 1):
             region = cluster_region((x, spec.v[1]), n, m)
-            if not set(region) <= support:
-                continue
             report.add_distance(
                 f"snake-marginal:{n}x{m}@{x},{spec.v[1]}",
                 "marginal_fidelity",

@@ -90,6 +90,16 @@ def test_derive_trivial_cases():
     assert derive([], SNAKE_TARGET) is None
 
 
+def test_a_target_from_reverse_monotonicity_stops_the_closure():
+    # I(A:C|B) and I(A:D|BC) have no mono child; one revmono move gives I(A:CD|B), and the search stops there
+    axioms = [CIStatement(((A),), ((B),), ((C),)), CIStatement(((A),), (B, C), ((D),))]
+    target = CIStatement(((A),), ((B),), (C, D))
+    [step] = derive(axioms, target)
+    assert (step.move, step.inputs, step.output) == ("revmono", tuple(axioms), target)
+    assert len(derivation_closure(axioms, stop_at=target)) == 3
+    assert len(derivation_closure(axioms)) == 5
+
+
 def test_derive_deterministic():
     axioms = cluster_axioms((2, 0)) + cluster_axioms((1, -1))
     t1 = derive(axioms, SNAKE_TARGET, max_depth=6)

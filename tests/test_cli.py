@@ -47,7 +47,7 @@ def test_generate_then_check_passes(row_file, capsys):
 def test_check_json_report(row_file, capsys):
     assert run("check", str(row_file), "--json") == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 6
+    assert payload["schema_version"] == 7
     assert payload["command"] == "check"
     assert payload["checks"]["markov"]["passed"] is True
     assert payload["checks"]["markov"]["summary"]["cmi"]["checks"] == 8
@@ -92,6 +92,12 @@ def test_depolarized_marginals_fail_consistency(depolarized_file, capsys):
     refused = json.loads(captured.out)
     assert list(refused) == ["schema_version", "command", "config", "checks", "peak_rss_mb"]
     assert list(refused["checks"]) == ["consistency"] and not refused["checks"]["consistency"]["passed"]
+    # without --json the refused run prints the summary of that report, and the same error line
+    assert run("entropy", str(depolarized_file)) == 1
+    human = capsys.readouterr()
+    assert re.fullmatch(r"consistency: 1 checks, max residual \S+, FAIL\n  failed consistency:2,0\|3,0: .*\n",
+                        human.out)
+    assert human.err == captured.err
 
 
 def test_reconstruct_under_loose_tolerances_rebuilds_inconsistent_marginals(depolarized_file, capsys):
@@ -401,6 +407,16 @@ def test_reconstruct_refuses_input_that_fails_its_checks(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert list(payload) == ["schema_version", "command", "config", "checks", "peak_rss_mb"]
     assert list(payload["checks"]) == ["consistency", "markov"] and not payload["checks"]["markov"]["passed"]
+    # without --json the refused run prints the summary of that report, and the same error line
+    assert run("reconstruct", str(path)) == 1
+    human = capsys.readouterr()
+    assert human.out.splitlines() == [
+        "consistency: 0 checks, max residual 0.000e+00, pass",
+        "markov: 8 checks, max residual 1.000e+00, FAIL",
+        "  failed cmi:2,0:3: residual 1.000e+00 > 1e-08",
+        "  failed cmi:2,0:5: residual 1.000e+00 > 1e-08",
+    ]
+    assert human.err == captured.err
     assert run("reconstruct", str(path), *_LOOSE) == 1  # proceeds, fidelity still fails
 
 
@@ -437,8 +453,9 @@ def test_generate_json_prints_its_report(tmp_path, capsys):
     assert run("generate", "--kind", "product", "--width", "3", "--height", "3",
                "--out", str(tmp_path / "p.npz"), "--json") == 0
     payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["schema_version", "command", "peak_rss_mb"]
-    assert (payload["schema_version"], payload["command"]) == (6, "generate")
+    assert list(payload) == ["schema_version", "command", "config", "checks", "wrote", "peak_rss_mb"]
+    assert (payload["schema_version"], payload["command"]) == (7, "generate")
+    assert payload["checks"] == {} and payload["wrote"] == str(tmp_path / "p.npz")
     _assert_peak_rss(payload)
 
 
@@ -502,15 +519,25 @@ def test_the_help_gives_the_loose_tolerances_these_tests_use():
         assert values == [(_LOOSE[1], _LOOSE[3])]
 
 
+_OPTIONS = {
+    "check": ["--full-pairwise", "--tol-cmi", "--tol-consistency", "--json"],
+    "reconstruct": ["--tol-reconstruction", "--tol-cmi", "--tol-consistency", "--json"],
+    "entropy": ["--json"],
+    "generate": ["--kind", "--width", "--height", "--out", "--unitaries", "--seed", "--json"],
+}
+
+
 def test_each_command_takes_exactly_its_options():
     options = {name: [flag for a in sub._actions for flag in a.option_strings if flag not in ("-h", "--help")]
                for name, sub in _subcommands().choices.items()}
-    assert options == {
-        "check": ["--full-pairwise", "--tol-cmi", "--tol-consistency", "--json"],
-        "reconstruct": ["--tol-reconstruction", "--tol-cmi", "--tol-consistency", "--json"],
-        "entropy": ["--json"],
-        "generate": ["--kind", "--width", "--height", "--out", "--unitaries", "--seed", "--json"],
-    }
+    assert options == _OPTIONS
+
+
+def test_each_report_configures_every_option_but_its_paths_and_json(row_file, tmp_path, capsys):
+    targets = {"generate": ("--kind", "product", "--width", "3", "--height", "3", "--out", str(tmp_path / "p.npz"))}
+    for command, options in _OPTIONS.items():
+        config = _json_run(capsys, command, *targets.get(command, (str(row_file),)))["config"]
+        assert list(config) == [flag[2:].replace("-", "_") for flag in options if flag not in ("--out", "--json")]
 
 
 def test_no_environment_variable_of_its_own_changes_a_run(row_file, monkeypatch, capsys):

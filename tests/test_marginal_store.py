@@ -283,12 +283,22 @@ def test_file_parser_rejections(tmp_path):
     with np.load(good) as npz:
         members = dict(npz)
 
-    def reject(mutate):
+    def reject(mutate, match=None):
         data = {name: arr.copy() for name, arr in members.items()}
         mutate(data)
         path = tmp_path / "bad.npz"
         np.savez(path, **data)
-        with pytest.raises(MarginalFileError):
+        with pytest.raises(MarginalFileError, match=match):
+            MarginalSet.load(path)
+
+    def reject_matrices_bytes(resize, match):
+        # the `matrices` member's data changed behind its header, in a container whose CRCs hold
+        path = tmp_path / "resized.npz"
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(path, "w") as zf:
+            for name in src.namelist():
+                data = src.read(name)
+                zf.writestr(name, resize(data) if name == "matrices.npy" else data)
+        with pytest.raises(MarginalFileError, match=match):
             MarginalSet.load(path)
 
     reject(lambda d: d.__setitem__("format_version", np.int64(1)))
@@ -300,6 +310,11 @@ def test_file_parser_rejections(tmp_path):
     reject(lambda d: d.__setitem__("local_dim", np.int64(1)))
     reject(lambda d: d.__setitem__("local_dim", np.int64(3)))
     reject(lambda d: d.__setitem__("window", np.array([3, 3, 3])))
+    reject(lambda d: d.__setitem__("window", np.array([0, 3])), match="malformed marginal file")
+    reject(lambda d: d.update(window=np.array([4, 3]), anchors=np.array([[2, 0], [2, 0]]),
+                              matrices=d["matrices"].repeat(2, axis=0)), match=r"duplicate marginal anchor \(2, 0\)")
+    reject_matrices_bytes(lambda data: data[:-16], "member data ends 16 bytes early")
+    reject_matrices_bytes(lambda data: data + bytes(16), "holds more data than its header declares")
     reject(lambda d: d.__setitem__("matrices", d["matrices"].astype(np.complex64)))
     reject(lambda d: d.__setitem__("matrices", np.asfortranarray(d["matrices"])))  # not readable cluster by cluster
 

@@ -78,9 +78,11 @@ def test_a_large_operator_with_one_non_hermitian_entry_is_refused():
 
 
 def test_matrix_is_frozen():
-    op = maximally_mixed(R1)
-    with pytest.raises(ValueError):
-        op.matrix[0, 0] = 0.3
+    # every input is stored as a frozen C-contiguous complex128 matrix, a real Fortran-ordered one too
+    for op in (maximally_mixed(R1), DensityOperator(R2, np.asfortranarray(np.eye(4) / 4))):
+        assert op.matrix.dtype == np.complex128 and op.matrix.flags.c_contiguous
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 0.3
 
 
 def test_partial_trace_product_state():
